@@ -6,8 +6,7 @@ levels, so leakage propagates to the last site where a reset channel --
 periodic or random feedback measurement, or engineered dissipation --
 removes it. The package provides the lattice operators, exact/Krylov
 propagation, stochastic trajectory ensembles with a dense master-equation
-oracle, decay-time extraction, the closed-form two-site analytics, and a
-sweep harness with a CLI.
+oracle, decay-time extraction and the closed-form two-site analytics.
 """
 
 from .analytics import (

@@ -104,38 +104,53 @@ def measurement_times(channel: ResetChannel, t_max: float, rng: np.random.Genera
 
 
 def born_probabilities(amplitudes: np.ndarray, spec: LatticeSpec, site: int) -> np.ndarray:
-    """Probabilities of the local occupation outcomes at `site` (1-based)."""
+    """Probabilities of the local occupation outcomes at `site` (1-based).
+
+    Batched over the leading axes of `amplitudes` (..., d**L); the result
+    has shape (..., d). The states need not be normalized.
+    """
+    amps = np.asarray(amplitudes)
     d, L = spec.local_dim, spec.length
-    shaped = amplitudes.reshape((d ** (site - 1), d, d ** (L - site)))
-    probs = np.einsum("anb,anb->n", shaped, shaped.conj()).real
-    total = probs.sum()
-    if total <= 0:
+    shaped = amps.reshape(amps.shape[:-1] + (d ** (site - 1), d, d ** (L - site)))
+    probs = np.einsum("...anb,...anb->...n", shaped, shaped.conj()).real
+    total = probs.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
         raise ValueError("cannot measure a zero state")
     return probs / total
 
 
-def apply_feedback_measurement(psi: StateVector, spec: LatticeSpec, site: int,
-                               rng: np.random.Generator) -> tuple[StateVector, int]:
+def measure_and_reset(amplitudes: np.ndarray, spec: LatticeSpec, site: int,
+                      draws) -> tuple[np.ndarray, np.ndarray]:
     """Projective number measurement at `site` followed by the reset |n> -> |0>.
 
-    The outcome is sampled from the Born probabilities; outcomes with
-    probability below PROJECTION_EPS are excluded from the sampling support.
+    Batched over the leading axes of `amplitudes` (..., d**L), with one
+    uniform on [0, 1) in `draws` (...) per state. Each outcome is sampled
+    from the Born probabilities; outcomes with probability below
+    PROJECTION_EPS are excluded from the sampling support. Returns the
+    projected amplitudes, with the measured site moved to |0> and the norm
+    of the sampled branch (not renormalized), and the outcomes.
+    """
+    amps = np.asarray(amplitudes)
+    d, L = spec.local_dim, spec.length
+    probs = born_probabilities(amps, spec, site)
+    probs = np.where(probs > PROJECTION_EPS, probs, 0.0)
+    cums = np.cumsum(probs / probs.sum(axis=-1, keepdims=True), axis=-1)
+    outcomes = np.minimum((cums <= np.asarray(draws)[..., None]).sum(axis=-1), d - 1)
+
+    shaped = amps.reshape(-1, d ** (site - 1), d, d ** (L - site))
+    new = np.zeros_like(shaped)
+    new[:, :, 0, :] = shaped[np.arange(shaped.shape[0]), :, outcomes.ravel(), :]
+    return new.reshape(amps.shape), outcomes
+
+
+def apply_feedback_measurement(psi: StateVector, spec: LatticeSpec, site: int,
+                               rng: np.random.Generator) -> tuple[StateVector, int]:
+    """Measure-and-reset of one state (see `measure_and_reset`).
+
     The returned state is normalized and has the measured site in |0>.
     """
-    amp = psi.amplitudes
-    probs = born_probabilities(amp, spec, site)
-    support = probs > PROJECTION_EPS
-    probs = np.where(support, probs, 0.0)
-    probs /= probs.sum()
-    outcome = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    outcome = min(outcome, spec.local_dim - 1)
-
-    d, L = spec.local_dim, spec.length
-    shaped = amp.reshape((d ** (site - 1), d, d ** (L - site)))
-    new = np.zeros_like(shaped)
-    new[:, 0, :] = shaped[:, outcome, :]
-    new_amp = new.reshape(-1)
-    return StateVector(new_amp / np.linalg.norm(new_amp)), outcome
+    new, outcome = measure_and_reset(psi.amplitudes, spec, site, rng.random())
+    return StateVector(new / np.linalg.norm(new)), int(outcome)
 
 
 def noise_jump_operators(model: NoiseModel, spec: LatticeSpec) -> list[OperatorMatrix]:

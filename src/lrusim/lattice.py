@@ -247,15 +247,6 @@ def total_number_operator(spec: LatticeSpec) -> OperatorMatrix:
     return _wrap(total, hermitian=True, model="bose_hubbard", spec=spec)
 
 
-def total_leakage_operator(spec: LatticeSpec) -> OperatorMatrix:
-    """Array leakage population operator, sum_l n_l (n_l - 1) / 2."""
-    total = sum(
-        build_site_operator(spec, s, "leakage_number").sparse()
-        for s in range(1, spec.length + 1)
-    )
-    return _wrap(total, hermitian=True, model="bose_hubbard", spec=spec)
-
-
 def build_bose_hubbard(real: DisorderRealization) -> OperatorMatrix:
     """Chain Hamiltonian for one disorder realization.
 

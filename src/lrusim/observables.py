@@ -39,47 +39,56 @@ class FitResult:
             raise ValueError("converged fit must carry a positive decay time")
 
 
+def site_expectations(populations, local_dim: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """Per-site leakage n (n - 1)/2 and occupation n from Fock-basis populations.
+
+    `populations` has shape (..., d**L) over any leading batch axes (the
+    trajectories of a chunk, or the points of a time grid) and is used as
+    given, not renormalized. Both results have shape (..., L), site 1 first.
+    """
+    pops = np.asarray(populations)
+    length = round(math.log(pops.shape[-1], local_dim))
+    if local_dim**length != pops.shape[-1]:
+        raise ValueError("dimension is not a power of the local dimension")
+    # occupation of every site in every basis state, site 1 most significant
+    n = np.indices((local_dim,) * length).reshape(length, -1).astype(float)
+    return pops @ (n * (n - 1.0) / 2.0).T, pops @ n.T
+
+
+def state_site1_coherence(amplitudes, local_dim: int = 3) -> np.ndarray:
+    """<0|rho_1|1> of state vectors (..., d**L) over leading axes, not divided by the norm."""
+    amps = np.asarray(amplitudes)
+    shaped = amps.reshape(amps.shape[:-1] + (local_dim, -1))
+    return np.einsum("...r,...r->...", shaped[..., 0, :], shaped[..., 1, :].conj())
+
+
+def density_site1_coherence(rho, local_dim: int = 3) -> np.ndarray:
+    """<0|rho_1|1> of density matrices (..., D, D), over leading axes."""
+    rho = np.asarray(rho)
+    rest = rho.shape[-1] // local_dim
+    shaped = rho.reshape(rho.shape[:-2] + (local_dim, rest, local_dim, rest))
+    return np.trace(shaped[..., 0, :, 1, :], axis1=-2, axis2=-1)
+
+
+def _populations(state_or_density) -> np.ndarray:
+    arr = np.asarray(getattr(state_or_density, "amplitudes", state_or_density))
+    return np.abs(arr) ** 2 if arr.ndim == 1 else np.diagonal(arr).real
+
+
 def leakage_population(state_or_density, local_dim: int = 3, sites="all") -> float:
-    """Expectation of sum_l n_l (n_l - 1)/2, or of the site-1 term only.
+    """Expectation of sum_l n_l (n_l - 1)/2, or of the terms of `sites` only.
 
     Accepts a state vector (1-D), a density matrix (2-D) or a StateVector.
     """
-    amp = getattr(state_or_density, "amplitudes", state_or_density)
-    arr = np.asarray(amp)
-    dim = arr.shape[0]
-    length = round(math.log(dim, local_dim))
-    if local_dim**length != dim:
-        raise ValueError("dimension is not a power of the local dimension")
-    n = np.arange(local_dim, dtype=float)
-    local_leak = n * (n - 1.0) / 2.0
-    site_list = range(1, length + 1) if sites == "all" else sorted(sites)
-    if arr.ndim == 1:
-        probs = np.abs(arr) ** 2
-    else:
-        probs = np.diagonal(arr).real
-    shaped = probs.reshape([local_dim] * length)
-    total = 0.0
-    for site in site_list:
-        axes = tuple(ax for ax in range(length) if ax != site - 1)
-        marginal = shaped.sum(axis=axes)
-        total += float(marginal @ local_leak)
-    return total
+    leak, _ = site_expectations(_populations(state_or_density), local_dim)
+    if sites != "all":
+        leak = leak[np.asarray(sorted(sites)) - 1]
+    return float(leak.sum())
 
 
 def site_occupations(state_or_density, local_dim: int = 3) -> np.ndarray:
     """Per-site expectation of the number operator."""
-    amp = getattr(state_or_density, "amplitudes", state_or_density)
-    arr = np.asarray(amp)
-    dim = arr.shape[0]
-    length = round(math.log(dim, local_dim))
-    n = np.arange(local_dim, dtype=float)
-    probs = np.abs(arr) ** 2 if arr.ndim == 1 else np.diagonal(arr).real
-    shaped = probs.reshape([local_dim] * length)
-    out = np.empty(length)
-    for site in range(length):
-        axes = tuple(ax for ax in range(length) if ax != site)
-        out[site] = shaped.sum(axis=axes) @ n
-    return out
+    return site_expectations(_populations(state_or_density), local_dim)[1]
 
 
 def site1_coherence(state_or_density, local_dim: int = 3) -> complex:
@@ -87,15 +96,10 @@ def site1_coherence(state_or_density, local_dim: int = 3) -> complex:
 
     Restricted to the qubit block: the n = 2 population never enters.
     """
-    amp = getattr(state_or_density, "amplitudes", state_or_density)
-    arr = np.asarray(amp)
-    dim = arr.shape[0]
-    rest = dim // local_dim
+    arr = np.asarray(getattr(state_or_density, "amplitudes", state_or_density))
     if arr.ndim == 1:
-        shaped = arr.reshape(local_dim, rest)
-        return complex(shaped[0] @ shaped[1].conj())
-    shaped = arr.reshape(local_dim, rest, local_dim, rest)
-    return complex(np.trace(shaped[0, :, 1, :]))
+        return complex(state_site1_coherence(arr, local_dim))
+    return complex(density_site1_coherence(arr, local_dim))
 
 
 def coherence_envelope(series) -> np.ndarray:

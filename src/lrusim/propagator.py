@@ -1,13 +1,13 @@
 """Time evolution under Hermitian and non-Hermitian Hamiltonians.
 
-Small systems use a cached eigendecomposition (exact for any step size);
+Small systems diagonalize the Hamiltonian (exact for any step size);
 larger ones use an Arnoldi/Krylov approximation of exp(-i H dt) psi with a
 residual-controlled adaptive restart.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -78,9 +78,24 @@ class StateVector:
         return cls(amp)
 
 
+def eigensystem(matrices, hermitian: bool):
+    """Eigenvalues, right eigenvectors and their inverse, over leading batch axes.
+
+    `matrices` has shape (..., n, n). Hermitian input goes through `eigh`,
+    whose eigenvector matrix inverts by conjugate transposition; anything
+    else through `eig` plus an explicit inverse. Eigenvalues are complex
+    either way, so exp(-i lambda t) reads the same for both.
+    """
+    if hermitian:
+        evals, vecs = np.linalg.eigh(matrices)
+        return evals.astype(complex), vecs, vecs.conj().swapaxes(-1, -2)
+    evals, vecs = np.linalg.eig(matrices)
+    return evals, vecs, np.linalg.inv(vecs)
+
+
 @dataclass
 class Propagator:
-    """Evolution method selector with a per-Hamiltonian cache.
+    """Evolution method selector.
 
     method "auto" picks exact eigendecomposition for dimensions up to
     EXACT_DIM_LIMIT and Krylov above; "exact" and "krylov" force a path.
@@ -89,7 +104,6 @@ class Propagator:
     method: str = "auto"
     krylov_dim: int = DEFAULT_KRYLOV_DIM
     krylov_tol: float = DEFAULT_KRYLOV_TOL
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def _resolve(self, dim: int) -> str:
         if self.method == "auto":
@@ -97,20 +111,6 @@ class Propagator:
         if self.method == "exact" and dim > EXACT_DIM_LIMIT:
             raise ValueError(f"exact method limited to dimension {EXACT_DIM_LIMIT}")
         return self.method
-
-    def _eigensystem(self, ham: OperatorMatrix):
-        key = id(ham)
-        cached = self._cache.get(key)
-        if cached is None:
-            dense = ham.dense()
-            if ham.hermitian:
-                evals, vecs = np.linalg.eigh(dense)
-                cached = (evals, vecs, vecs.conj().T)
-            else:
-                evals, vecs = scipy.linalg.eig(dense)
-                cached = (evals, vecs, np.linalg.inv(vecs))
-            self._cache[key] = cached
-        return cached
 
 
 def propagate(prop: Propagator, ham: OperatorMatrix, psi: StateVector, dt: float) -> StateVector:
@@ -124,7 +124,7 @@ def propagate(prop: Propagator, ham: OperatorMatrix, psi: StateVector, dt: float
         raise ValueError("state and operator dimensions differ")
     method = prop._resolve(ham.dimension)
     if method == "exact":
-        evals, vecs, vinv = prop._eigensystem(ham)
+        evals, vecs, vinv = eigensystem(ham.dense(), ham.hermitian)
         return StateVector(vecs @ (np.exp(-1j * evals * dt) * (vinv @ amp)))
     out = krylov_expm_apply(
         ham.data, amp, dt, m=prop.krylov_dim, tol=prop.krylov_tol,
@@ -142,11 +142,9 @@ def propagate_nonhermitian_norm(ham_eff: OperatorMatrix, psi0: StateVector, t_gr
     t_grid = np.asarray(t_grid, dtype=float)
     amp = psi0.amplitudes
     if ham_eff.dimension <= EXACT_DIM_LIMIT:
-        dense = ham_eff.dense()
-        evals, vecs = scipy.linalg.eig(dense)
-        coeff = np.linalg.solve(vecs, amp)
+        evals, vecs, vinv = eigensystem(ham_eff.dense(), ham_eff.hermitian)
         phases = np.exp(-1j * np.outer(t_grid, evals))  # (nt, dim)
-        states = phases * coeff  # eigenbasis coefficients at each time
+        states = phases * (vinv @ amp)  # eigenbasis coefficients at each time
         site = states @ vecs.T  # (nt, dim) amplitudes in the site basis
         return np.einsum("ti,ti->t", site, site.conj()).real
     norms = np.empty(t_grid.size)

@@ -6,21 +6,18 @@ background noise, and reports leakage/occupation/coherence series on a
 common observable grid. Ensembles average trajectories and attach
 standard errors.
 
-The default integrator is event-driven: between feedback measurements and
+The integrator is event-driven: between feedback measurements and
 observable grid points the state advances with the cached exact
 eigendecomposition of the (generally non-Hermitian) no-jump Hamiltonian,
 and quantum jumps are located by the norm-threshold (waiting-time) rule,
-which is step-size free. A literal first-order per-step mode
-(method="per_step") exists for validation against the channel contract;
-it is what the spec of the jump step describes, but needs dt small against
-every jump rate, which is wasteful at high reset rates.
+which is step-size free.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -29,8 +26,8 @@ from .channels import (
     NoiseModel,
     ResetChannel,
     StepTooLargeError,
-    dissipation_jump_step,
     local_thermal_weights,
+    measure_and_reset,
     noise_jump_operators,
     sample_thermal_initial,
 )
@@ -41,7 +38,8 @@ from .lattice import (
     build_site_operator,
     realize_disorder,
 )
-from .propagator import EXACT_DIM_LIMIT, StateVector
+from .observables import density_site1_coherence, site_expectations, state_site1_coherence
+from .propagator import EXACT_DIM_LIMIT, eigensystem
 
 #: Per-chunk trajectory count, shrunk for large dimensions so the cached
 #: eigendecompositions stay within a fixed memory budget. Chunk boundaries
@@ -95,12 +93,7 @@ class SimulationConfig:
         return np.arange(n + 1) * self.observable_dt
 
     def coding_vector(self) -> np.ndarray:
-        base = CODING_STATES[self.initial_coding_state]
-        if self.lattice.local_dim == base.size:
-            return base.copy()
-        vec = np.zeros(self.lattice.local_dim, dtype=complex)
-        vec[: base.size] = base
-        return vec
+        return CODING_STATES[self.initial_coding_state].copy()
 
 
 @dataclass
@@ -163,50 +156,15 @@ def _stream(master_seed: int, index: int, purpose: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# observables on raw amplitude batches
-
-
-def _diagonals(spec: LatticeSpec):
-    d, L = spec.local_dim, spec.length
-    n_local = np.arange(d, dtype=float)
-    leak_local = n_local * (n_local - 1.0) / 2.0
-    shape = [d] * L
-    leak_total = np.zeros(shape)
-    for site in range(L):
-        view = [1] * L
-        view[site] = d
-        leak_total = leak_total + leak_local.reshape(view)
-    view = [1] * L
-    view[0] = d
-    leak_site1 = np.broadcast_to(leak_local.reshape(view), shape).copy()
-    n_site1 = np.broadcast_to(n_local.reshape(view), shape).copy()
-    return leak_total.ravel(), leak_site1.ravel(), n_site1.ravel()
-
-
-def _batch_observables(psi: np.ndarray, diags, d: int):
-    """Return (leak_total, leak_site1, occ_site1, coherence) for (B, dim) states."""
-    norms = np.einsum("bi,bi->b", psi, psi.conj()).real
-    norms = np.where(norms > 0, norms, 1.0)
-    probs = (psi.real**2 + psi.imag**2) / norms[:, None]
-    leak_total = probs @ diags[0]
-    leak_site1 = probs @ diags[1]
-    occ_site1 = probs @ diags[2]
-    shaped = psi.reshape(psi.shape[0], d, -1)
-    coh = np.einsum("br,br->b", shaped[:, 0, :], shaped[:, 1, :].conj()) / norms
-    return leak_total, leak_site1, occ_site1, coh
-
-
-# ---------------------------------------------------------------------------
 # the batched event-driven engine
 
 
 class _ChunkEngine:
     """Evolves one chunk of trajectories in lockstep."""
 
-    def __init__(self, config: SimulationConfig, indices, method: str):
+    def __init__(self, config: SimulationConfig, indices):
         self.config = config
         self.indices = list(indices)
-        self.method = method
         spec = config.lattice
         self.spec = spec
         self.dim = spec.dimension
@@ -253,18 +211,7 @@ class _ChunkEngine:
             for op in self.jump_ops:
                 ldl = op.conj().T @ op
                 hams -= 0.5j * ldl[None, :, :]
-        self.hermitian = not self.jump_ops
-
-        if self.hermitian:
-            evals, vecs = np.linalg.eigh(hams)
-            self.evals = evals.astype(complex)
-            self.vecs = vecs
-            self.vinv = vecs.conj().transpose(0, 2, 1)
-        else:
-            evals, vecs = np.linalg.eig(hams)
-            self.evals = evals
-            self.vecs = vecs
-            self.vinv = np.linalg.inv(vecs)
+        self.evals, self.vecs, self.vinv = eigensystem(hams, hermitian=not self.jump_ops)
         self.psi = psi
         self.t_cur = np.zeros(B)
         self._u_fixed = None
@@ -404,28 +351,13 @@ class _ChunkEngine:
     # -- feedback measurements ---------------------------------------------
 
     def _measure_rows(self, rows: np.ndarray):
-        if rows.size == 0:
-            return
-        d, L, site = self.spec.local_dim, self.spec.length, self.site
-        pre = d ** (site - 1)
-        post = d ** (L - site)
-        sub = self.psi[rows].reshape(rows.size, pre, d, post)
-        probs = np.einsum("band,band->bn", sub, sub.conj()).real
-        totals = probs.sum(axis=1)
-        probs = probs / totals[:, None]
+        psi = self.psi[rows]
         draws = np.array([self.meas_rngs[int(r)].random() for r in rows])
-        cums = np.cumsum(probs, axis=1)
-        outcomes = (draws[:, None] > cums).sum(axis=1)
-        outcomes = np.minimum(outcomes, d - 1)
-        picked = sub[np.arange(rows.size), :, outcomes, :]
-        new = np.zeros_like(sub)
-        new[:, :, 0, :] = picked
+        reset, _ = measure_and_reset(psi, self.spec, self.site, draws)
         # preserve the pre-measurement norm so waiting-time bookkeeping
         # keeps tracking only the non-Hermitian (dissipative) norm loss
-        before = np.sqrt(totals)
-        after = np.sqrt(np.einsum("band,band->b", new, new.conj()).real)
-        scale = np.where(after > 0, before / np.maximum(after, 1e-300), 0.0)
-        self.psi[rows] = (new * scale[:, None, None, None]).reshape(rows.size, -1)
+        scale = np.linalg.norm(psi, axis=1) / np.linalg.norm(reset, axis=1)
+        self.psi[rows] = reset * scale[:, None]
 
     def _schedule_next_measurement(self, rows: np.ndarray):
         if self.period is not None:
@@ -437,14 +369,11 @@ class _ChunkEngine:
     # -- main loops ---------------------------------------------------------
 
     def run(self):
-        if self.method == "per_step":
-            return self._run_per_step()
         grid = self.config.time_grid
-        diags = _diagonals(self.spec)
         out = {name: np.empty((self.batch, grid.size)) for name in
                ("leakage_total", "leakage_site1", "occupation_site1", "envelope")}
         coh = np.empty((self.batch, grid.size), dtype=complex)
-        self._record(0, grid[0], out, coh, diags)
+        self._record(0, out, coh)
         all_rows = np.arange(self.batch)
         for g in range(1, grid.size):
             t_goal = grid[g]
@@ -457,72 +386,19 @@ class _ChunkEngine:
                 self._measure_rows(rows)
                 self._schedule_next_measurement(rows)
             self._advance_to(all_rows, np.full(self.batch, t_goal))
-            self._record(g, t_goal, out, coh, diags)
+            self._record(g, out, coh)
         return out, coh
 
-    def _record(self, g: int, t: float, out, coh, diags):
-        lt, l1, n1, c = _batch_observables(self.psi, diags, self.spec.local_dim)
-        out["leakage_total"][:, g] = lt
-        out["leakage_site1"][:, g] = l1
-        out["occupation_site1"][:, g] = n1
+    def _record(self, g: int, out, coh):
+        pops = self.psi.real**2 + self.psi.imag**2
+        norms = pops.sum(axis=1)
+        leak, occ = site_expectations(pops / norms[:, None], self.spec.local_dim)
+        c = state_site1_coherence(self.psi, self.spec.local_dim) / norms
+        out["leakage_total"][:, g] = leak.sum(axis=1)
+        out["leakage_site1"][:, g] = leak[:, 0]
+        out["occupation_site1"][:, g] = occ[:, 0]
         out["envelope"][:, g] = 2.0 * np.abs(c)
         coh[:, g] = c
-
-    # -- literal first-order stepping (validation path) ---------------------
-
-    def _run_per_step(self):
-        cfg = self.config
-        grid = cfg.time_grid
-        diags = _diagonals(self.spec)
-        out = {name: np.empty((self.batch, grid.size)) for name in
-               ("leakage_total", "leakage_site1", "occupation_site1", "envelope")}
-        coh = np.empty((self.batch, grid.size), dtype=complex)
-        n_steps = round(grid[-1] / cfg.dt)
-
-        from .lattice import OperatorMatrix
-
-        ops = [OperatorMatrix(data=op, dimension=self.dim, hermitian=False)
-               for op in self.jump_ops]
-        phases = np.exp(-1j * self.evals * cfg.dt)
-        self._record(0, 0.0, out, coh, diags)
-        for row in range(self.batch):
-            vecs, vinv = self.vecs[row], self.vinv[row]
-            step_phases = phases[row]
-            rng = self.jump_rngs[row] or _stream(cfg.master_seed, self.indices[row], 3)
-
-            def no_jump(amp, _v=vecs, _vi=vinv, _p=step_phases):
-                return _v @ (_p * (_vi @ amp))
-
-            psi = StateVector(self.psi[row])
-            if self.has_jumps:
-                psi = psi.normalized()
-            t = 0.0
-            g = 1
-            for k in range(1, n_steps + 1):
-                if self.has_jumps:
-                    psi = dissipation_jump_step(psi, ops, no_jump, cfg.dt, rng)
-                else:
-                    psi = StateVector(no_jump(psi.amplitudes))
-                t = k * cfg.dt
-                while self.next_meas[row] <= t + _TIME_EPS:
-                    self.psi[row] = psi.amplitudes
-                    self._measure_rows(np.array([row]))
-                    psi = StateVector(self.psi[row]).normalized()
-                    self._schedule_next_measurement(np.array([row]))
-                if g < grid.size and abs(t - grid[g]) < cfg.dt / 2:
-                    self.psi[row] = psi.amplitudes
-                    self._record_row(row, g, out, coh, diags)
-                    g += 1
-            self.psi[row] = psi.amplitudes
-        return out, coh
-
-    def _record_row(self, row: int, g: int, out, coh, diags):
-        lt, l1, n1, c = _batch_observables(self.psi[row:row + 1], diags, self.spec.local_dim)
-        out["leakage_total"][row, g] = lt[0]
-        out["leakage_site1"][row, g] = l1[0]
-        out["occupation_site1"][row, g] = n1[0]
-        out["envelope"][row, g] = 2.0 * abs(c[0])
-        coh[row, g] = c[0]
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +409,9 @@ def _chunk_size(dim: int) -> int:
     return max(1, min(256, _CHUNK_ENTRY_BUDGET // (dim * dim)))
 
 
-def run_trajectory(config: SimulationConfig, index: int, method: str = "auto") -> TrajectoryResult:
+def run_trajectory(config: SimulationConfig, index: int) -> TrajectoryResult:
     """Run one trajectory; deterministic in (master_seed, index)."""
-    engine = _ChunkEngine(config, [index], _resolve_method(method))
+    engine = _ChunkEngine(config, [index])
     out, coh = engine.run()
     return TrajectoryResult(
         time_grid=config.time_grid,
@@ -546,27 +422,19 @@ def run_trajectory(config: SimulationConfig, index: int, method: str = "auto") -
     )
 
 
-def _resolve_method(method: str) -> str:
-    if method not in ("auto", "norm_threshold", "per_step"):
-        raise ValueError(f"unknown method {method!r}")
-    return "per_step" if method == "per_step" else "norm_threshold"
-
-
-def run_ensemble(config: SimulationConfig, n_threads: int = 1,
-                 method: str = "auto") -> EnsembleObservables:
+def run_ensemble(config: SimulationConfig, n_threads: int = 1) -> EnsembleObservables:
     """Average config.n_trajectories independent trajectories.
 
     Chunking (and therefore every random draw) depends only on the
     configuration; the thread count changes the execution schedule but not
     the result, and accumulation runs in fixed trajectory order.
     """
-    method = _resolve_method(method)
     n = config.n_trajectories
     size = _chunk_size(config.lattice.dimension)
     chunks = [list(range(start, min(start + size, n))) for start in range(0, n, size)]
 
     def work(indices):
-        return _ChunkEngine(config, indices, method).run()
+        return _ChunkEngine(config, indices).run()
 
     if n_threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -682,18 +550,9 @@ def solve_master_dense(config: SimulationConfig, t_grid=None,
     if not sol.success:
         raise RuntimeError(f"master-equation integration failed: {sol.message}")
 
-    from .observables import leakage_population, site1_coherence, site_occupations
-
-    lt = np.empty(grid.size)
-    l1 = np.empty(grid.size)
-    n1 = np.empty(grid.size)
-    coh = np.empty(grid.size, dtype=complex)
-    for k in range(grid.size):
-        rho = sol.y[:, k].reshape(dim, dim)
-        rho = 0.5 * (rho + rho.conj().T)
-        lt[k] = leakage_population(rho, spec.local_dim)
-        l1[k] = leakage_population(rho, spec.local_dim, sites=[1])
-        n1[k] = site_occupations(rho, spec.local_dim)[0]
-        coh[k] = site1_coherence(rho, spec.local_dim)
-    return ModelSeries(time_grid=grid, leakage_total=lt, leakage_site1=l1,
-                       occupation_site1=n1, coherence_site1=coh)
+    rho = sol.y.T.reshape(grid.size, dim, dim)
+    rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
+    leak, occ = site_expectations(np.diagonal(rho, axis1=1, axis2=2).real, spec.local_dim)
+    return ModelSeries(time_grid=grid, leakage_total=leak.sum(axis=1), leakage_site1=leak[:, 0],
+                       occupation_site1=occ[:, 0],
+                       coherence_site1=density_site1_coherence(rho, spec.local_dim))

@@ -11,6 +11,7 @@ from lrusim.channels import (
     born_probabilities,
     dissipation_jump_step,
     local_thermal_weights,
+    measure_and_reset,
     measurement_times,
     noise_jump_operators,
     sample_thermal_initial,
@@ -27,6 +28,9 @@ class _FixedUniform:
 
     def uniform(self, lo, hi):
         return lo + self.value * (hi - lo)
+
+    def random(self):
+        return self.value
 
 
 class TestMeasurementTimes:
@@ -107,6 +111,25 @@ class TestFeedbackMeasurement:
         out, _ = apply_feedback_measurement(psi, spec, 3, rng)
         occ = np.vdot(out.amplitudes, number @ out.amplitudes).real
         assert occ == pytest.approx(0.0, abs=1e-12)
+
+    def test_batch_matches_single_measurements(self, rng):
+        # a (2, 3) batch of unnormalized states, one uniform each
+        spec = LatticeSpec(3, 2.0, 1.5, 0.2, 0.5)
+        amps = rng.normal(size=(2, 3, 27)) + 1j * rng.normal(size=(2, 3, 27))
+        draws = rng.random((2, 3))
+        probs = born_probabilities(amps, spec, 2)
+        reset, outcomes = measure_and_reset(amps, spec, 2, draws)
+        assert probs.shape == (2, 3, 3) and outcomes.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            psi = StateVector(amps[idx] / np.linalg.norm(amps[idx]))
+            assert np.allclose(probs[idx], born_probabilities(psi.amplitudes, spec, 2))
+            out, outcome = apply_feedback_measurement(psi, spec, 2, _FixedUniform(draws[idx]))
+            assert outcome == outcomes[idx]
+            # the batch keeps the branch norm: sqrt(p_outcome) of the input norm
+            norm = np.linalg.norm(reset[idx])
+            assert norm == pytest.approx(
+                np.linalg.norm(amps[idx]) * np.sqrt(probs[idx][outcome]), rel=1e-12)
+            assert np.abs(reset[idx] / norm - out.amplitudes).max() < 1e-12
 
 
 class TestNoiseOperators:

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from lrusim.lattice import LatticeSpec
+from lrusim.lattice import LatticeSpec, build_site_operator
 from lrusim.observables import (
     coherence_envelope,
+    density_site1_coherence,
     fit_exponential,
     leakage_fit_start,
     leakage_population,
     propagation_time,
     site1_coherence,
+    site_expectations,
     site_occupations,
+    state_site1_coherence,
 )
 from lrusim.propagator import StateVector
 from lrusim.units import angular_from_mhz
@@ -49,6 +52,31 @@ class TestLeakagePopulation:
         spec = LatticeSpec(3, 1.0, 1.0, 0.1)
         psi = StateVector.basis_state(spec, [1, 2, 0])
         assert np.allclose(site_occupations(psi), [1, 2, 0])
+
+
+class TestBatchedForms:
+    def test_site_expectations_match_site_operators(self, rng):
+        # a (2, 4) batch of unnormalized L = 3 states
+        spec = LatticeSpec(3, 1.0, 1.0, 0.1)
+        amps = rng.normal(size=(2, 4, 27)) + 1j * rng.normal(size=(2, 4, 27))
+        leak, occ = site_expectations(np.abs(amps) ** 2)
+        assert leak.shape == occ.shape == (2, 4, 3)
+        for site in range(1, 4):
+            for kind, got in (("leakage_number", leak), ("number", occ)):
+                op = build_site_operator(spec, site, kind).dense()
+                expect = np.einsum("...i,ij,...j->...", amps.conj(), op, amps).real
+                assert np.abs(got[..., site - 1] - expect).max() < 1e-12
+
+    def test_density_batch_matches_states(self, rng):
+        amps = rng.normal(size=(5, 27)) + 1j * rng.normal(size=(5, 27))
+        rho = np.einsum("ti,tj->tij", amps, amps.conj())
+        from_states = state_site1_coherence(amps)
+        from_densities = density_site1_coherence(rho)
+        assert from_states.shape == from_densities.shape == (5,)
+        assert np.abs(from_states - from_densities).max() < 1e-12
+        leak, occ = site_expectations(np.diagonal(rho, axis1=1, axis2=2).real)
+        leak_s, occ_s = site_expectations(np.abs(amps) ** 2)
+        assert np.abs(leak - leak_s).max() < 1e-12 and np.abs(occ - occ_s).max() < 1e-12
 
 
 class TestCoherence:

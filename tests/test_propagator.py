@@ -15,6 +15,7 @@ from lrusim.propagator import (
     KrylovConvergenceError,
     Propagator,
     StateVector,
+    eigensystem,
     krylov_expm_apply,
     propagate,
     propagate_nonhermitian_norm,
@@ -99,11 +100,37 @@ class TestExact:
         oracle = evolve_dense_oracle(ham.dense(), psi.amplitudes, 1.7)
         assert np.abs(out.amplitudes - oracle).max() < 1e-10
 
+    def test_fresh_hamiltonians_get_their_own_eigensystem(self):
+        # deleted Hamiltonians free their ids for the next ones: a propagator
+        # that kept eigensystems by id handed back a stale one
+        spec = LatticeSpec(2, 4.0, 3.0, 0.6, 2.0)
+        prop = Propagator()
+        psi = random_state(9, np.random.default_rng(8))
+        for seed in range(200):
+            ham = build_bose_hubbard(realize_disorder(spec, seed))
+            out = propagate(prop, ham, psi, 1.3)
+            oracle = evolve_dense_oracle(ham.dense(), psi.amplitudes, 1.3)
+            assert np.abs(out.amplitudes - oracle).max() < 1e-10, seed
+            del ham
+
     def test_dimension_mismatch(self):
         spec = LatticeSpec(2, 1.0, 1.0, 0.1)
         ham = build_bose_hubbard(realize_disorder(spec, 0))
         with pytest.raises(ValueError):
             propagate(Propagator(), ham, StateVector(np.ones(4)), 0.1)
+
+
+class TestEigensystem:
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_batch_reconstructs_each_matrix(self, hermitian):
+        rng = np.random.default_rng(9)
+        mats = rng.normal(size=(2, 3, 6, 6)) + 1j * rng.normal(size=(2, 3, 6, 6))
+        if hermitian:
+            mats = mats + mats.conj().swapaxes(-1, -2)
+        evals, vecs, vinv = eigensystem(mats, hermitian)
+        assert evals.shape == (2, 3, 6) and np.iscomplexobj(evals)
+        assert np.abs(vinv @ vecs - np.eye(6)).max() < 1e-10
+        assert np.abs(vecs @ (evals[..., None] * vinv) - mats).max() < 1e-10
 
 
 class TestKrylov:

@@ -1,0 +1,58 @@
+"""Names that code outside the package relies on.
+
+The benchmark's tracer (`lrubench/spans.py`) swaps the functions
+`lrusim.trajectory` looks up, and `numpy.linalg.eig`, for recording
+wrappers. A rename there, or an eig imported by name, breaks the traced
+benchmark run without failing any physics test.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+
+import lrusim
+import lrusim.trajectory
+
+SPANS = Path(__file__).resolve().parents[1] / "lrubench" / "spans.py"
+
+
+def module_constant(path: Path, name: str):
+    """A literal assigned at module level, read without importing the module."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == name for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} not assigned in {path}")
+
+
+def test_traced_trajectory_names_exist():
+    names = module_constant(SPANS, "TRAJECTORY_NAMES")
+    assert names
+    missing = [name for name in names if not hasattr(lrusim.trajectory, name)]
+    assert not missing
+
+
+def test_public_names_resolve():
+    missing = [name for name in lrusim.__all__ if not hasattr(lrusim, name)]
+    assert not missing
+
+
+def test_ensemble_looks_up_eig_when_called(monkeypatch):
+    shapes = []
+    eig = np.linalg.eig
+
+    def recording_eig(matrices):
+        shapes.append(np.shape(matrices))
+        return eig(matrices)
+
+    monkeypatch.setattr(np.linalg, "eig", recording_eig)
+    config = lrusim.SimulationConfig(
+        lattice=lrusim.LatticeSpec(2, 0.0, 10.0, 1.0),
+        channel=lrusim.ResetChannel("dissipation", 0.5),
+        t_max=1.0, dt=0.1, n_trajectories=4,
+    )
+    lrusim.run_ensemble(config)
+    # one batched call per chunk
+    assert shapes == [(4, 9, 9)]

@@ -1,0 +1,103 @@
+"""The event-driven trajectory engine: oracle agreement and determinism.
+
+`run_ensemble` locates jumps by the waiting-time rule and applies feedback
+measurements at their scheduled times, so its only error is statistical.
+The oracle tests bound that error point by point against the dense master
+equation; the determinism tests pin that chunking and threading never
+change a result.
+"""
+
+import numpy as np
+import pytest
+
+from lrusim import (
+    LatticeSpec,
+    NoiseModel,
+    ResetChannel,
+    SimulationConfig,
+    run_ensemble,
+    run_trajectory,
+    solve_master_dense,
+)
+from lrusim.trajectory import _chunk_size
+
+#: Largest |z| allowed at any grid point. At 256 trajectories, seeds 0-5
+#: read 1.3-2.6 over 3 series x 51 points for either channel.
+Z_BOUND = 4.0
+
+ORACLE_SERIES = ("leakage_total", "leakage_site1", "occupation_site1")
+
+
+def chain_config(kind, rate, n_trajectories, t_max, dt, stride, noise, seed=0,
+                 coding="ket2"):
+    return SimulationConfig(
+        lattice=LatticeSpec(3, 0.0, 10.0, 1.0),
+        channel=ResetChannel(kind, rate),
+        t_max=t_max,
+        dt=dt,
+        n_trajectories=n_trajectories,
+        noise=noise,
+        initial_coding_state=coding,
+        master_seed=seed,
+        observable_stride=stride,
+    )
+
+
+def max_z(ens, oracle, name) -> float:
+    """Largest |z| of an ensemble series against the oracle.
+
+    The standard error is floored at 3/n: while only a few jumps are
+    expected, trajectories that have not jumped agree exactly and the
+    sample SE reads near zero although the mean is off by the missing jumps.
+    """
+    floor = 3.0 / ens.n_trajectories_used
+    se = np.maximum(getattr(ens, name + "_se"), floor)
+    return float(np.max(np.abs(getattr(ens, name) - getattr(oracle, name)) / se))
+
+
+class TestOracleAgreement:
+    # 51 grid points over t = 0..20, past the transport plateau of L = 3
+    @pytest.mark.parametrize("kind, dt, stride", [
+        ("dissipation", 0.4, 1),
+        ("random_feedback", 0.01, 40),
+    ])
+    def test_every_grid_point_within_bound(self, kind, dt, stride):
+        config = chain_config(kind, 1.0, 256, 20.0, dt, stride, NoiseModel(0.01, 0.01))
+        ens = run_ensemble(config)
+        oracle = solve_master_dense(config)
+        assert np.array_equal(ens.time_grid, oracle.time_grid)
+        # the leakage pair must actually leave the chain for the check to mean much
+        assert oracle.leakage_total[-1] < 0.5
+        for name in ORACLE_SERIES:
+            assert max_z(ens, oracle, name) < Z_BOUND, name
+
+
+def short_config(kind, coding):
+    # more trajectories than one chunk holds at L = 3, so run_ensemble
+    # splits them and two threads really run chunks side by side
+    n = _chunk_size(27) + 20
+    return chain_config(kind, 2.0, n, 2.0, 0.05, 2, NoiseModel(0.05, 0.05), seed=11,
+                        coding=coding)
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("kind, coding", [
+        ("periodic_feedback", "ket2"),
+        ("random_feedback", "plus"),
+    ])
+    def test_thread_count_does_not_change_result(self, kind, coding):
+        config = short_config(kind, coding)
+        assert config.n_trajectories > _chunk_size(config.lattice.dimension)
+        one = run_ensemble(config, n_threads=1)
+        two = run_ensemble(config, n_threads=2)
+        for name, value in vars(one).items():
+            assert np.array_equal(value, getattr(two, name)), name
+
+    def test_single_trajectories_average_to_ensemble(self):
+        # random feedback from the plus state also jumps and dephases
+        config = short_config("random_feedback", "plus")
+        ens = run_ensemble(config)
+        singles = [run_trajectory(config, i) for i in range(config.n_trajectories)]
+        for name in ("leakage_total", "leakage_site1", "occupation_site1", "coherence_site1"):
+            mean = np.mean([getattr(s, name) for s in singles], axis=0)
+            assert np.max(np.abs(mean - getattr(ens, name))) < 1e-12, name
