@@ -35,6 +35,7 @@ from .channels import (
 )
 from .lattice import (
     DisorderRealization,
+    FockBasis,
     LatticeSpec,
     OperatorMatrix,
     build_bose_hubbard,
@@ -70,6 +71,7 @@ __all__ = [
     "DisorderRealization",
     "EnsembleObservables",
     "FitResult",
+    "FockBasis",
     "LatticeSpec",
     "NoiseModel",
     "OperatorMatrix",

@@ -10,12 +10,20 @@ state of the idle sites.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DisorderRealization, LatticeSpec, OperatorMatrix, build_site_operator
+from .lattice import (
+    DisorderRealization,
+    FockBasis,
+    LatticeSpec,
+    OperatorMatrix,
+    build_site_operator,
+    full_basis,
+)
 from .propagator import StateVector
 from .units import thermal_exponent
 
@@ -103,74 +111,87 @@ def measurement_times(channel: ResetChannel, t_max: float, rng: np.random.Genera
     return (np.nonzero(hits)[0] + 1.0) * dt
 
 
-def born_probabilities(amplitudes: np.ndarray, spec: LatticeSpec, site: int) -> np.ndarray:
+def born_probabilities(amplitudes: np.ndarray, basis: FockBasis, site: int) -> np.ndarray:
     """Probabilities of the local occupation outcomes at `site` (1-based).
 
-    Batched over the leading axes of `amplitudes` (..., d**L); the result
-    has shape (..., d). The states need not be normalized.
+    Batched over the leading axes of `amplitudes` (..., basis.dimension);
+    the result has shape (..., d). The states need not be normalized.
     """
     amps = np.asarray(amplitudes)
-    d, L = spec.local_dim, spec.length
-    shaped = amps.reshape(amps.shape[:-1] + (d ** (site - 1), d, d ** (L - site)))
-    probs = np.einsum("...anb,...anb->...n", shaped, shaped.conj()).real
+    levels = basis.occupations[:, site - 1]
+    outcome_of_state = (levels[:, None] == np.arange(basis.local_dim)).astype(float)
+    probs = (amps.real**2 + amps.imag**2) @ outcome_of_state
     total = probs.sum(axis=-1, keepdims=True)
     if np.any(total <= 0):
         raise ValueError("cannot measure a zero state")
     return probs / total
 
 
-def measure_and_reset(amplitudes: np.ndarray, spec: LatticeSpec, site: int,
+def measure_and_reset(amplitudes: np.ndarray, basis: FockBasis, site: int,
                       draws) -> tuple[np.ndarray, np.ndarray]:
     """Projective number measurement at `site` followed by the reset |n> -> |0>.
 
-    Batched over the leading axes of `amplitudes` (..., d**L), with one
-    uniform on [0, 1) in `draws` (...) per state. Each outcome is sampled
-    from the Born probabilities; outcomes with probability below
+    Batched over the leading axes of `amplitudes` (..., basis.dimension),
+    with one uniform on [0, 1) in `draws` (...) per state. Each outcome is
+    sampled from the Born probabilities; outcomes with probability below
     PROJECTION_EPS are excluded from the sampling support. Returns the
     projected amplitudes, with the measured site moved to |0> and the norm
     of the sampled branch (not renormalized), and the outcomes.
     """
     amps = np.asarray(amplitudes)
-    d, L = spec.local_dim, spec.length
-    probs = born_probabilities(amps, spec, site)
+    probs = born_probabilities(amps, basis, site)
     probs = np.where(probs > PROJECTION_EPS, probs, 0.0)
     cums = np.cumsum(probs / probs.sum(axis=-1, keepdims=True), axis=-1)
-    outcomes = np.minimum((cums <= np.asarray(draws)[..., None]).sum(axis=-1), d - 1)
+    outcomes = np.minimum((cums <= np.asarray(draws)[..., None]).sum(axis=-1),
+                          basis.local_dim - 1)
 
-    shaped = amps.reshape(-1, d ** (site - 1), d, d ** (L - site))
-    new = np.zeros_like(shaped)
-    new[:, :, 0, :] = shaped[np.arange(shaped.shape[0]), :, outcomes.ravel(), :]
+    flat = amps.reshape(-1, basis.dimension)
+    rows, states = np.nonzero(basis.occupations[:, site - 1] == outcomes.reshape(-1, 1))
+    new = np.zeros_like(flat)
+    new[rows, _emptied(basis, site)[states]] = flat[rows, states]
     return new.reshape(amps.shape), outcomes
 
 
-def apply_feedback_measurement(psi: StateVector, spec: LatticeSpec, site: int,
+@functools.lru_cache(maxsize=16)
+def _emptied(basis: FockBasis, site: int) -> np.ndarray:
+    """Row of each basis state with `site` set to 0 (emptying lowers N, so it is in the basis)."""
+    occupations = basis.occupations.copy()
+    occupations[:, site - 1] = 0
+    rows = basis.index(occupations)
+    rows.flags.writeable = False  # shared by every caller through the cache
+    return rows
+
+
+def apply_feedback_measurement(psi: StateVector, basis: FockBasis, site: int,
                                rng: np.random.Generator) -> tuple[StateVector, int]:
     """Measure-and-reset of one state (see `measure_and_reset`).
 
     The returned state is normalized and has the measured site in |0>.
     """
-    new, outcome = measure_and_reset(psi.amplitudes, spec, site, rng.random())
+    new, outcome = measure_and_reset(psi.amplitudes, basis, site, rng.random())
     return StateVector(new / np.linalg.norm(new)), int(outcome)
 
 
-def noise_jump_operators(model: NoiseModel, spec: LatticeSpec) -> list[OperatorMatrix]:
-    """Per-site Lindblad jump operators for relaxation and dephasing.
+def noise_jump_operators(model: NoiseModel, spec: LatticeSpec,
+                         basis: FockBasis | None = None) -> list[OperatorMatrix]:
+    """Per-site Lindblad jump operators for relaxation and dephasing, in `basis`.
 
     Relaxation: sqrt(gamma) a_l. Dephasing: sqrt(2 kappa) n_l -- the factor
     of two comes from mapping qubit sigma_z dephasing onto the transmon
     number operator. Returns 2L operators when both rates are positive.
+    The default basis is the full space.
     """
     ops: list[OperatorMatrix] = []
     if model.relaxation_rate > 0:
         root = math.sqrt(model.relaxation_rate)
         for site in range(1, spec.length + 1):
-            op = build_site_operator(spec, site, "annihilation")
+            op = build_site_operator(spec, site, "annihilation", basis)
             op.data = op.data * root
             ops.append(op)
     if model.dephasing_rate > 0:
         root = math.sqrt(2.0 * model.dephasing_rate)
         for site in range(1, spec.length + 1):
-            op = build_site_operator(spec, site, "number")
+            op = build_site_operator(spec, site, "number", basis)
             op.data = op.data * root
             op.hermitian = True
             ops.append(op)
@@ -222,26 +243,35 @@ def local_thermal_weights(omega: float, anharmonicity: float, temperature: float
 
 
 def sample_thermal_initial(real: DisorderRealization, model: NoiseModel,
-                           coding_state, rng: np.random.Generator) -> StateVector:
+                           coding_state, rng: np.random.Generator,
+                           basis: FockBasis | None = None) -> StateVector:
     """Initial chain state: coding state on site 1, Gibbs-sampled idle sites.
 
     Sites 2..L are drawn independently from the J = 0 Boltzmann weights of
     their local levels (truncated at n = d-1 and renormalized); each call
-    returns one sampled product eigenstate, not the averaged Gibbs state.
+    returns one sampled product eigenstate, not the averaged Gibbs state,
+    with amplitudes over `basis` (default: the full space). Raises
+    ValueError if the state has weight outside the basis.
     """
     spec = real.spec
     coding = np.asarray(coding_state, dtype=complex).ravel()
     if coding.size != spec.local_dim:
         raise ValueError("coding state must be a single-site vector")
-    locals_ = [coding / np.linalg.norm(coding)]
+    occupations = np.zeros((spec.local_dim, spec.length), dtype=np.int64)
+    occupations[:, 0] = np.arange(spec.local_dim)
     for site in range(2, spec.length + 1):
         weights = local_thermal_weights(
             real.omegas[site - 1], real.anharmonicities[site - 1],
             model.temperature, spec.local_dim,
         )
         level = int(np.searchsorted(np.cumsum(weights), rng.random(), side="right"))
-        level = min(level, spec.local_dim - 1)
-        vec = np.zeros(spec.local_dim, dtype=complex)
-        vec[level] = 1.0
-        locals_.append(vec)
-    return StateVector.product_state(locals_)
+        occupations[:, site - 1] = min(level, spec.local_dim - 1)
+    basis = full_basis(spec.length, spec.local_dim) if basis is None else basis
+    basis.check(spec)
+    rows = basis.index(occupations)
+    inside = rows >= 0
+    if np.any(coding[~inside] != 0):
+        raise ValueError("initial state has weight outside the basis")
+    amplitudes = np.zeros(basis.dimension, dtype=complex)
+    amplitudes[rows[inside]] = (coding / np.linalg.norm(coding))[inside]
+    return StateVector(amplitudes)

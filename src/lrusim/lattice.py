@@ -6,10 +6,14 @@ nearest-neighbor hopping J, open boundary conditions. Disorder is drawn so
 that the second-level energy 2*omega_l - U_l is identical on every site:
 the single-excitation levels are detuned site to site while the two-boson
 ("leakage") level stays resonant across the chain.
+
+Chain operators are assembled from the occupation table of a `FockBasis`,
+either the full d**L space or one of its excitation-number sectors.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,14 +145,76 @@ def realize_disorder(spec: LatticeSpec, seed: int) -> DisorderRealization:
     return DisorderRealization(spec=spec, omegas=omegas, anharmonicities=anh, seed=seed)
 
 
+class FockBasis:
+    """Occupation table of the Fock states |n_1 ... n_L> with N = sum_l n_l <= max_excitations.
+
+    Rows keep the order of the full d**L Kronecker space, site 1 most
+    significant; with max_excitations = L (d - 1), the default, the table
+    is the full space itself. The Hamiltonian conserves N and every jump
+    and reset lowers it, so all of them act inside one such sector.
+    """
+
+    def __init__(self, length: int, local_dim: int = 3, max_excitations: int | None = None):
+        full = length * (local_dim - 1)
+        max_excitations = full if max_excitations is None else min(max_excitations, full)
+        if length < 1 or local_dim < 2 or max_excitations < 0:
+            raise ValueError("need length >= 1, local_dim >= 2 and max_excitations >= 0")
+        if local_dim**length > 2**62:
+            raise ValueError("full-space indices would overflow 64 bits")
+        occ = np.zeros((1, 0), dtype=np.int64)
+        for _ in range(length):
+            occ = np.column_stack([np.repeat(occ, local_dim, axis=0),
+                                   np.tile(np.arange(local_dim), len(occ))])
+            occ = occ[occ.sum(axis=1) <= max_excitations]
+            if len(occ) > MAX_DIMENSION:
+                raise DimensionBudgetError(f"basis exceeds budget {MAX_DIMENSION}")
+        self.length = length
+        self.local_dim = local_dim
+        self.max_excitations = max_excitations
+        #: (dimension, L) occupations, one row per basis state
+        self.occupations = occ
+        self._place = local_dim ** np.arange(length - 1, -1, -1)
+        # full-space index of every row, ascending because the order is kept
+        self._codes = occ @ self._place
+        occ.flags.writeable = False
+
+    @property
+    def dimension(self) -> int:
+        return len(self.occupations)
+
+    def index(self, occupations) -> np.ndarray:
+        """Row of each occupation tuple (..., L) in the table; -1 where absent."""
+        occ = np.asarray(occupations)
+        codes = occ @ self._place
+        rows = np.minimum(np.searchsorted(self._codes, codes), self.dimension - 1)
+        inside = (self._codes[rows] == codes) & ((occ >= 0) & (occ < self.local_dim)).all(-1)
+        return np.where(inside, rows, -1)
+
+    def transitions(self, change: dict) -> tuple[np.ndarray, np.ndarray]:
+        """Rows (i, j) with occupations[j] = occupations[i] + change, both in the table.
+
+        `change` maps 1-based sites to occupation steps, e.g. {2: -1}.
+        """
+        step = np.zeros(self.length, dtype=np.int64)
+        for site, delta in change.items():
+            step[site - 1] = delta
+        target = self.index(self.occupations + step)
+        src = np.nonzero(target >= 0)[0]
+        return src, target[src]
+
+    def check(self, spec: LatticeSpec):
+        if (self.length, self.local_dim) != (spec.length, spec.local_dim):
+            raise ValueError("basis and lattice disagree on length or local dimension")
+
+
 @dataclass
 class OperatorMatrix:
     """Operator on the chain Hilbert space (or an effective model space).
 
     ``data`` is a dense ndarray for dimensions up to DENSE_DIM_LIMIT and a
     CSR sparse matrix above. ``model`` tags the space the operator acts on:
-    "bose_hubbard" (full d^L qutrit space), "leakage_effective" (L-dim
-    single-leakage-particle space) or "generic".
+    "bose_hubbard" (the Fock states of ``basis``), "leakage_effective"
+    (L-dim single-leakage-particle space) or "generic".
     """
 
     data: "np.ndarray | sp.spmatrix"
@@ -156,6 +222,7 @@ class OperatorMatrix:
     hermitian: bool
     model: str = "generic"
     spec: LatticeSpec | None = field(default=None, repr=False)
+    basis: FockBasis | None = field(default=None, repr=False)
 
     def dense(self) -> np.ndarray:
         if sp.issparse(self.data):
@@ -173,7 +240,8 @@ class OperatorMatrix:
         return self.data @ other
 
 
-def _wrap(matrix, hermitian: bool, model: str = "generic", spec=None) -> OperatorMatrix:
+def _wrap(matrix, hermitian: bool, model: str = "generic", spec=None,
+          basis=None) -> OperatorMatrix:
     dim = matrix.shape[0]
     if dim <= DENSE_DIM_LIMIT and sp.issparse(matrix):
         matrix = matrix.toarray()
@@ -187,7 +255,8 @@ def _wrap(matrix, hermitian: bool, model: str = "generic", spec=None) -> Operato
             maxdiff = np.abs(diff).max() if diff.size else 0.0
         if maxdiff > HERMITICITY_TOL * max(1.0, _scale(matrix)):
             raise ValueError("matrix flagged hermitian is not hermitian")
-    return OperatorMatrix(data=matrix, dimension=dim, hermitian=hermitian, model=model, spec=spec)
+    return OperatorMatrix(data=matrix, dimension=dim, hermitian=hermitian, model=model,
+                          spec=spec, basis=basis)
 
 
 def _scale(matrix) -> float:
@@ -196,49 +265,48 @@ def _scale(matrix) -> float:
     return float(np.abs(matrix).max()) if matrix.size else 0.0
 
 
-def local_ladder(d: int) -> np.ndarray:
-    """Truncated bosonic annihilation operator, <n-1|a|n> = sqrt(n)."""
-    return np.diag(np.sqrt(np.arange(1.0, d)), k=1)
+def _chain_operator(spec: LatticeSpec, basis: FockBasis, rows, cols, values,
+                    hermitian: bool) -> OperatorMatrix:
+    dim = basis.dimension
+    matrix = sp.csr_matrix((values, (rows, cols)), shape=(dim, dim))
+    return _wrap(matrix, hermitian, model="bose_hubbard", spec=spec, basis=basis)
 
 
-def _local_operator(d: int, kind: str) -> np.ndarray:
-    a = local_ladder(d)
-    if kind == "annihilation":
-        return a
-    if kind == "creation":
-        return a.T.conj()
-    n = np.arange(d, dtype=float)
-    if kind == "number":
-        return np.diag(n)
-    if kind == "leakage_number":
-        return np.diag(n * (n - 1.0) / 2.0)
-    raise ValueError(f"unknown operator kind {kind!r}")
+@functools.lru_cache(maxsize=8)
+def full_basis(length: int, local_dim: int = 3) -> FockBasis:
+    """The full d**L Fock space as a FockBasis, built once per shape."""
+    return FockBasis(length, local_dim)
 
 
-def _check_dimension(spec: LatticeSpec):
-    if spec.dimension > MAX_DIMENSION:
-        raise DimensionBudgetError(
-            f"dimension {spec.dimension} exceeds budget {MAX_DIMENSION}"
-        )
+def _basis_for(spec: LatticeSpec, basis: FockBasis | None) -> FockBasis:
+    if basis is None:
+        return full_basis(spec.length, spec.local_dim)
+    basis.check(spec)
+    return basis
 
 
-def build_site_operator(spec: LatticeSpec, site: int, kind: str) -> OperatorMatrix:
-    """Local operator at `site` (1-based), embedded by Kronecker products.
+def build_site_operator(spec: LatticeSpec, site: int, kind: str,
+                        basis: FockBasis | None = None) -> OperatorMatrix:
+    """Local operator at `site` (1-based) in `basis`, by default the full space.
 
-    Site 1 is the leftmost (most significant) tensor factor.
+    Matrix elements are read off the basis occupations. A creation
+    operator drops the states it would raise out of a sector.
     """
     if not 1 <= site <= spec.length:
         raise ValueError(f"site {site} outside 1..{spec.length}")
     if kind not in SITE_OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    _check_dimension(spec)
-    d = spec.local_dim
-    op = sp.csr_matrix(_local_operator(d, kind))
-    left = sp.identity(d ** (site - 1), format="csr")
-    right = sp.identity(d ** (spec.length - site), format="csr")
-    full = sp.kron(sp.kron(left, op), right, format="csr")
-    hermitian = kind in ("number", "leakage_number")
-    return _wrap(full, hermitian, model="bose_hubbard", spec=spec)
+    basis = _basis_for(spec, basis)
+    n = basis.occupations[:, site - 1].astype(float)
+    if kind in ("number", "leakage_number"):
+        diag = n if kind == "number" else n * (n - 1.0) / 2.0
+        rows = np.arange(basis.dimension)
+        return _chain_operator(spec, basis, rows, rows, diag, hermitian=True)
+    # <n-1|a|n> = sqrt(n) and <n+1|a^dag|n> = sqrt(n+1)
+    lowering = kind == "annihilation"
+    src, dst = basis.transitions({site: -1 if lowering else +1})
+    values = np.sqrt(n[src] if lowering else n[src] + 1.0)
+    return _chain_operator(spec, basis, dst, src, values, hermitian=False)
 
 
 def total_number_operator(spec: LatticeSpec) -> OperatorMatrix:
@@ -247,42 +315,29 @@ def total_number_operator(spec: LatticeSpec) -> OperatorMatrix:
     return _wrap(total, hermitian=True, model="bose_hubbard", spec=spec)
 
 
-def build_bose_hubbard(real: DisorderRealization) -> OperatorMatrix:
-    """Chain Hamiltonian for one disorder realization.
+def build_bose_hubbard(real: DisorderRealization,
+                       basis: FockBasis | None = None) -> OperatorMatrix:
+    """Chain Hamiltonian for one disorder realization, in `basis` (default: full space).
 
     H = sum_l [omega_l n_l - (U_l/2) n_l (n_l - 1) + J (a_l^dag a_{l+1} + h.c.)]
-    with open boundaries.
+    with open boundaries. H conserves the total excitation number, so it
+    closes on every excitation-number sector.
     """
     spec = real.spec
-    _check_dimension(spec)
-    d, L = spec.local_dim, spec.length
-    n_local = _local_operator(d, "number")
-    a_local = local_ladder(d)
-
-    ham = sp.csr_matrix((spec.dimension, spec.dimension), dtype=complex)
-    for site in range(1, L + 1):
-        onsite = (
-            real.omegas[site - 1] * n_local
-            - 0.5 * real.anharmonicities[site - 1] * n_local @ (n_local - np.eye(d))
-        )
-        ham = ham + _embed(sp.csr_matrix(onsite), site, d, L)
-    hop_pair = sp.kron(sp.csr_matrix(a_local.T), sp.csr_matrix(a_local), format="csr")
-    for site in range(1, L):
-        hop = spec.hopping * _embed_pair(hop_pair, site, d, L)
-        ham = ham + hop + hop.conj().T
-    return _wrap(ham, hermitian=True, model="bose_hubbard", spec=spec)
-
-
-def _embed(op: sp.csr_matrix, site: int, d: int, L: int) -> sp.csr_matrix:
-    left = sp.identity(d ** (site - 1), format="csr")
-    right = sp.identity(d ** (L - site), format="csr")
-    return sp.kron(sp.kron(left, op), right, format="csr")
-
-
-def _embed_pair(op: sp.csr_matrix, site: int, d: int, L: int) -> sp.csr_matrix:
-    left = sp.identity(d ** (site - 1), format="csr")
-    right = sp.identity(d ** (L - site - 1), format="csr")
-    return sp.kron(sp.kron(left, op), right, format="csr")
+    basis = _basis_for(spec, basis)
+    n = basis.occupations.astype(float)
+    diagonal = np.arange(basis.dimension)
+    rows, cols = [diagonal], [diagonal]
+    values = [n @ real.omegas - 0.5 * (n * (n - 1.0)) @ real.anharmonicities]
+    for site in range(1, spec.length):
+        # a_l^dag a_{l+1} moves one boson from site l+1 to site l
+        src, dst = basis.transitions({site: +1, site + 1: -1})
+        amp = spec.hopping * np.sqrt((n[src, site - 1] + 1.0) * n[src, site])
+        rows += [dst, src]
+        cols += [src, dst]
+        values += [amp, amp]
+    return _chain_operator(spec, basis, np.concatenate(rows), np.concatenate(cols),
+                           np.concatenate(values).astype(complex), hermitian=True)
 
 
 def build_effective_propagation(real: DisorderRealization) -> OperatorMatrix:
@@ -333,10 +388,10 @@ def build_effective_nonhermitian(
         else:
             if ham.spec is None:
                 raise ValueError("bose_hubbard operator lacks its LatticeSpec")
-            number = build_site_operator(ham.spec, reset_site, "number").sparse()
+            number = build_site_operator(ham.spec, reset_site, "number", ham.basis).sparse()
             shift = 0.5 * rate * number
     else:
         raise ValueError(f"unknown channel kind {channel_kind!r}")
     out = ham.sparse().astype(complex) - 1j * shift
     return _wrap(out.tocsr() if sp.issparse(out) else out, hermitian=False,
-                 model=ham.model, spec=ham.spec)
+                 model=ham.model, spec=ham.spec, basis=ham.basis)

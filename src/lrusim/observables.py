@@ -8,11 +8,14 @@ of the coding-site coherence gives T2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import curve_fit
+
+from .lattice import FockBasis, full_basis
 
 #: Below this floor the log-space linear fit gives way to nonlinear least squares.
 LOG_FIT_FLOOR = 1e-6
@@ -39,35 +42,47 @@ class FitResult:
             raise ValueError("converged fit must carry a positive decay time")
 
 
-def site_expectations(populations, local_dim: int = 3) -> tuple[np.ndarray, np.ndarray]:
+def site_expectations(populations, basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
     """Per-site leakage n (n - 1)/2 and occupation n from Fock-basis populations.
 
-    `populations` has shape (..., d**L) over any leading batch axes (the
-    trajectories of a chunk, or the points of a time grid) and is used as
-    given, not renormalized. Both results have shape (..., L), site 1 first.
+    `populations` has shape (..., basis.dimension) over any leading batch
+    axes (the trajectories of a chunk, or the points of a time grid) and is
+    used as given, not renormalized. Both results have shape (..., L),
+    site 1 first.
     """
+    n = basis.occupations.astype(float)
     pops = np.asarray(populations)
-    length = round(math.log(pops.shape[-1], local_dim))
-    if local_dim**length != pops.shape[-1]:
-        raise ValueError("dimension is not a power of the local dimension")
-    # occupation of every site in every basis state, site 1 most significant
-    n = np.indices((local_dim,) * length).reshape(length, -1).astype(float)
-    return pops @ (n * (n - 1.0) / 2.0).T, pops @ n.T
+    return pops @ (n * (n - 1.0) / 2.0), pops @ n
 
 
-def state_site1_coherence(amplitudes, local_dim: int = 3) -> np.ndarray:
-    """<0|rho_1|1> of state vectors (..., d**L) over leading axes, not divided by the norm."""
+@functools.lru_cache(maxsize=16)
+def _site1_pairs(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of |0, rest> and of |1, rest>, for every rest that has both."""
+    src, dst = basis.transitions({1: +1})
+    empty = basis.occupations[src, 0] == 0
+    zero, one = src[empty], dst[empty]
+    zero.flags.writeable = one.flags.writeable = False  # shared through the cache
+    return zero, one
+
+
+def state_site1_coherence(amplitudes, basis: FockBasis) -> np.ndarray:
+    """<0|rho_1|1> of state vectors (..., basis.dimension), not divided by the norm."""
     amps = np.asarray(amplitudes)
-    shaped = amps.reshape(amps.shape[:-1] + (local_dim, -1))
-    return np.einsum("...r,...r->...", shaped[..., 0, :], shaped[..., 1, :].conj())
+    zero, one = _site1_pairs(basis)
+    return np.einsum("...r,...r->...", amps[..., zero], amps[..., one].conj())
 
 
-def density_site1_coherence(rho, local_dim: int = 3) -> np.ndarray:
-    """<0|rho_1|1> of density matrices (..., D, D), over leading axes."""
-    rho = np.asarray(rho)
-    rest = rho.shape[-1] // local_dim
-    shaped = rho.reshape(rho.shape[:-2] + (local_dim, rest, local_dim, rest))
-    return np.trace(shaped[..., 0, :, 1, :], axis1=-2, axis2=-1)
+def density_site1_coherence(rho, basis: FockBasis) -> np.ndarray:
+    """<0|rho_1|1> of density matrices (..., D, D) over `basis`, over leading axes."""
+    zero, one = _site1_pairs(basis)
+    return np.asarray(rho)[..., zero, one].sum(axis=-1)
+
+
+def _basis_of_dimension(dimension: int, local_dim: int) -> FockBasis:
+    length = round(math.log(dimension, local_dim))
+    if local_dim**length != dimension:
+        raise ValueError("dimension is not a power of the local dimension")
+    return full_basis(length, local_dim)
 
 
 def _populations(state_or_density) -> np.ndarray:
@@ -78,28 +93,33 @@ def _populations(state_or_density) -> np.ndarray:
 def leakage_population(state_or_density, local_dim: int = 3, sites="all") -> float:
     """Expectation of sum_l n_l (n_l - 1)/2, or of the terms of `sites` only.
 
-    Accepts a state vector (1-D), a density matrix (2-D) or a StateVector.
+    Accepts a full-space state vector (1-D), density matrix (2-D) or
+    StateVector.
     """
-    leak, _ = site_expectations(_populations(state_or_density), local_dim)
+    pops = _populations(state_or_density)
+    leak, _ = site_expectations(pops, _basis_of_dimension(pops.size, local_dim))
     if sites != "all":
         leak = leak[np.asarray(sorted(sites)) - 1]
     return float(leak.sum())
 
 
 def site_occupations(state_or_density, local_dim: int = 3) -> np.ndarray:
-    """Per-site expectation of the number operator."""
-    return site_expectations(_populations(state_or_density), local_dim)[1]
+    """Per-site expectation of the number operator (full-space input)."""
+    pops = _populations(state_or_density)
+    return site_expectations(pops, _basis_of_dimension(pops.size, local_dim))[1]
 
 
 def site1_coherence(state_or_density, local_dim: int = 3) -> complex:
     """Matrix element <0|rho_1|1> of the site-1 reduced density matrix.
 
     Restricted to the qubit block: the n = 2 population never enters.
+    Takes full-space input, like `leakage_population`.
     """
     arr = np.asarray(getattr(state_or_density, "amplitudes", state_or_density))
+    basis = _basis_of_dimension(arr.shape[-1], local_dim)
     if arr.ndim == 1:
-        return complex(state_site1_coherence(arr, local_dim))
-    return complex(density_site1_coherence(arr, local_dim))
+        return complex(state_site1_coherence(arr, basis))
+    return complex(density_site1_coherence(arr, basis))
 
 
 def coherence_envelope(series) -> np.ndarray:

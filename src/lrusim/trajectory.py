@@ -6,6 +6,13 @@ background noise, and reports leakage/occupation/coherence series on a
 common observable grid. Ensembles average trajectories and attach
 standard errors.
 
+The engine works in the excitation-number sector N <= N_max of the chain
+(`lattice.FockBasis`). The no-jump Hamiltonian commutes with the total
+boson number N, and every jump and every reset lowers it, so a trajectory
+never leaves the N <= N_0 subspace of its initial state. N_max is the
+largest N an initial state of the configuration can have: the top level in
+the coding state's support at zero temperature, the full space otherwise.
+
 The integrator is event-driven: between feedback measurements and
 observable grid points the state advances with the cached exact
 eigendecomposition of the (generally non-Hermitian) no-jump Hamiltonian,
@@ -33,17 +40,20 @@ from .channels import (
 )
 from .lattice import (
     DisorderRealization,
+    FockBasis,
     LatticeSpec,
     build_bose_hubbard,
     build_site_operator,
+    full_basis,
     realize_disorder,
 )
 from .observables import density_site1_coherence, site_expectations, state_site1_coherence
 from .propagator import EXACT_DIM_LIMIT, eigensystem
 
-#: Per-chunk trajectory count, shrunk for large dimensions so the cached
-#: eigendecompositions stay within a fixed memory budget. Chunk boundaries
-#: depend only on the configuration, never on the worker count.
+#: Per-chunk trajectory count, shrunk for large sectors so the cached
+#: eigendecompositions (three sector-dimension squares per trajectory) stay
+#: within a fixed memory budget. Chunk boundaries depend only on the
+#: configuration, never on the worker count.
 _CHUNK_ENTRY_BUDGET = 4_000_000
 
 
@@ -162,15 +172,16 @@ def _stream(master_seed: int, index: int, purpose: int) -> np.random.Generator:
 class _ChunkEngine:
     """Evolves one chunk of trajectories in lockstep."""
 
-    def __init__(self, config: SimulationConfig, indices):
+    def __init__(self, config: SimulationConfig, indices, basis: FockBasis):
         self.config = config
         self.indices = list(indices)
         spec = config.lattice
         self.spec = spec
-        self.dim = spec.dimension
+        self.basis = basis
+        self.dim = basis.dimension
         if self.dim > EXACT_DIM_LIMIT:
             raise ValueError(
-                f"trajectory engine supports dimensions up to {EXACT_DIM_LIMIT}"
+                f"trajectory engine supports sectors of up to {EXACT_DIM_LIMIT} states"
             )
         self.batch = len(self.indices)
         self.channel = config.channel
@@ -185,9 +196,9 @@ class _ChunkEngine:
     # -- setup ------------------------------------------------------------
 
     def _build_jump_operators(self):
-        ops = [op.dense() for op in noise_jump_operators(self.noise, self.spec)]
+        ops = [op.dense() for op in noise_jump_operators(self.noise, self.spec, self.basis)]
         if self.channel is not None and self.channel.kind == "dissipation" and self.channel.rate > 0:
-            a_last = build_site_operator(self.spec, self.site, "annihilation").dense()
+            a_last = build_site_operator(self.spec, self.site, "annihilation", self.basis).dense()
             ops.append(math.sqrt(self.channel.rate) * a_last)
         self.jump_ops = ops
         self.has_jumps = bool(ops)
@@ -199,13 +210,12 @@ class _ChunkEngine:
         psi = np.empty((B, dim), dtype=complex)
         coding = cfg.coding_vector()
 
-        self.realizations: list[DisorderRealization] = []
         for row, idx in enumerate(self.indices):
             real = realize_disorder(spec, _disorder_seed(cfg.master_seed, idx))
-            self.realizations.append(real)
-            hams[row] = build_bose_hubbard(real).dense()
+            hams[row] = build_bose_hubbard(real, self.basis).dense()
             rng_th = _stream(cfg.master_seed, idx, 1)
-            psi[row] = sample_thermal_initial(real, self.noise, coding, rng_th).amplitudes
+            psi[row] = sample_thermal_initial(real, self.noise, coding, rng_th,
+                                              self.basis).amplitudes
 
         if self.jump_ops:
             for op in self.jump_ops:
@@ -215,7 +225,6 @@ class _ChunkEngine:
         self.psi = psi
         self.t_cur = np.zeros(B)
         self._u_fixed = None
-        self._u_fixed_tau = None
 
     def _init_channel_schedule(self):
         cfg = self.config
@@ -326,6 +335,8 @@ class _ChunkEngine:
             lo, hi = 0.0, span
             for _ in range(90):
                 mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break  # the bracket is down to adjacent floats
                 n_mid, _ = norm_at(mid)
                 if n_mid < self.thresholds[row]:
                     hi = mid
@@ -353,7 +364,7 @@ class _ChunkEngine:
     def _measure_rows(self, rows: np.ndarray):
         psi = self.psi[rows]
         draws = np.array([self.meas_rngs[int(r)].random() for r in rows])
-        reset, _ = measure_and_reset(psi, self.spec, self.site, draws)
+        reset, _ = measure_and_reset(psi, self.basis, self.site, draws)
         # preserve the pre-measurement norm so waiting-time bookkeeping
         # keeps tracking only the non-Hermitian (dissipative) norm loss
         scale = np.linalg.norm(psi, axis=1) / np.linalg.norm(reset, axis=1)
@@ -392,8 +403,8 @@ class _ChunkEngine:
     def _record(self, g: int, out, coh):
         pops = self.psi.real**2 + self.psi.imag**2
         norms = pops.sum(axis=1)
-        leak, occ = site_expectations(pops / norms[:, None], self.spec.local_dim)
-        c = state_site1_coherence(self.psi, self.spec.local_dim) / norms
+        leak, occ = site_expectations(pops / norms[:, None], self.basis)
+        c = state_site1_coherence(self.psi, self.basis) / norms
         out["leakage_total"][:, g] = leak.sum(axis=1)
         out["leakage_site1"][:, g] = leak[:, 0]
         out["occupation_site1"][:, g] = occ[:, 0]
@@ -409,9 +420,27 @@ def _chunk_size(dim: int) -> int:
     return max(1, min(256, _CHUNK_ENTRY_BUDGET // (dim * dim)))
 
 
+def _max_excitations(config: SimulationConfig) -> int:
+    """Largest total excitation number of any initial state of `config`.
+
+    At zero temperature the idle sites start empty and N_0 is the top level
+    in the coding state's support; at T > 0 the idle sites may start
+    excited, so the bound is the full space's L (d - 1).
+    """
+    spec = config.lattice
+    if config.noise is not None and config.noise.temperature > 0:
+        return spec.length * (spec.local_dim - 1)
+    return int(np.nonzero(config.coding_vector())[0].max())
+
+
+def _sector(config: SimulationConfig) -> FockBasis:
+    spec = config.lattice
+    return FockBasis(spec.length, spec.local_dim, _max_excitations(config))
+
+
 def run_trajectory(config: SimulationConfig, index: int) -> TrajectoryResult:
     """Run one trajectory; deterministic in (master_seed, index)."""
-    engine = _ChunkEngine(config, [index])
+    engine = _ChunkEngine(config, [index], _sector(config))
     out, coh = engine.run()
     return TrajectoryResult(
         time_grid=config.time_grid,
@@ -430,11 +459,12 @@ def run_ensemble(config: SimulationConfig, n_threads: int = 1) -> EnsembleObserv
     the result, and accumulation runs in fixed trajectory order.
     """
     n = config.n_trajectories
-    size = _chunk_size(config.lattice.dimension)
+    basis = _sector(config)
+    size = _chunk_size(basis.dimension)
     chunks = [list(range(start, min(start + size, n))) for start in range(0, n, size)]
 
     def work(indices):
-        return _ChunkEngine(config, indices).run()
+        return _ChunkEngine(config, indices, basis).run()
 
     if n_threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -552,7 +582,8 @@ def solve_master_dense(config: SimulationConfig, t_grid=None,
 
     rho = sol.y.T.reshape(grid.size, dim, dim)
     rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
-    leak, occ = site_expectations(np.diagonal(rho, axis1=1, axis2=2).real, spec.local_dim)
+    basis = full_basis(spec.length, spec.local_dim)
+    leak, occ = site_expectations(np.diagonal(rho, axis1=1, axis2=2).real, basis)
     return ModelSeries(time_grid=grid, leakage_total=leak.sum(axis=1), leakage_site1=leak[:, 0],
                        occupation_site1=occ[:, 0],
-                       coherence_site1=density_site1_coherence(rho, spec.local_dim))
+                       coherence_site1=density_site1_coherence(rho, basis))

@@ -16,7 +16,7 @@ from lrusim.channels import (
     noise_jump_operators,
     sample_thermal_initial,
 )
-from lrusim.lattice import LatticeSpec, build_site_operator, realize_disorder
+from lrusim.lattice import FockBasis, LatticeSpec, build_site_operator, realize_disorder
 from lrusim.propagator import StateVector
 
 
@@ -68,36 +68,39 @@ class TestMeasurementTimes:
 class TestFeedbackMeasurement:
     def test_deterministic_projection(self, rng):
         spec = LatticeSpec(2, 1.0, 1.0, 0.1)
+        basis = FockBasis(spec.length)
         psi = StateVector.basis_state(spec, [0, 2])
-        out, outcome = apply_feedback_measurement(psi, spec, 2, rng)
+        out, outcome = apply_feedback_measurement(psi, basis, 2, rng)
         assert outcome == 2
         expected = StateVector.basis_state(spec, [0, 0]).amplitudes
         assert np.abs(out.amplitudes - expected).max() < 1e-12
 
     def test_superposition_both_branches_reset(self, rng):
         spec = LatticeSpec(2, 1.0, 1.0, 0.1)
+        basis = FockBasis(spec.length)
         a = StateVector.basis_state(spec, [0, 1]).amplitudes
         b = StateVector.basis_state(spec, [0, 0]).amplitudes
         psi = StateVector((a + b) / np.sqrt(2))
         seen = set()
         for _ in range(200):
-            out, outcome = apply_feedback_measurement(psi, spec, 2, rng)
+            out, outcome = apply_feedback_measurement(psi, basis, 2, rng)
             seen.add(outcome)
             # either way the measured site ends in |0>
-            probs = born_probabilities(out.amplitudes, spec, 2)
+            probs = born_probabilities(out.amplitudes, basis, 2)
             assert probs[0] == pytest.approx(1.0, abs=1e-12)
             assert abs(out.norm() - 1.0) < 1e-12
         assert seen == {0, 1}
 
     def test_born_statistics(self, rng):
         spec = LatticeSpec(2, 1.0, 1.0, 0.1)
+        basis = FockBasis(spec.length)
         amp = rng.normal(size=9) + 1j * rng.normal(size=9)
         psi = StateVector(amp / np.linalg.norm(amp))
-        probs = born_probabilities(psi.amplitudes, spec, 2)
+        probs = born_probabilities(psi.amplitudes, basis, 2)
         n_samples = 100_000
         counts = np.zeros(3)
         for _ in range(n_samples):
-            _, outcome = apply_feedback_measurement(psi, spec, 2, rng)
+            _, outcome = apply_feedback_measurement(psi, basis, 2, rng)
             counts[outcome] += 1
         freq = counts / n_samples
         sigma = np.sqrt(probs * (1 - probs) / n_samples)
@@ -105,25 +108,27 @@ class TestFeedbackMeasurement:
 
     def test_measured_site_occupation_is_zero(self, rng):
         spec = LatticeSpec(3, 2.0, 1.5, 0.2, 0.5)
+        basis = FockBasis(spec.length)
         amp = rng.normal(size=27) + 1j * rng.normal(size=27)
         psi = StateVector(amp / np.linalg.norm(amp))
         number = build_site_operator(spec, 3, "number").dense()
-        out, _ = apply_feedback_measurement(psi, spec, 3, rng)
+        out, _ = apply_feedback_measurement(psi, basis, 3, rng)
         occ = np.vdot(out.amplitudes, number @ out.amplitudes).real
         assert occ == pytest.approx(0.0, abs=1e-12)
 
     def test_batch_matches_single_measurements(self, rng):
         # a (2, 3) batch of unnormalized states, one uniform each
         spec = LatticeSpec(3, 2.0, 1.5, 0.2, 0.5)
+        basis = FockBasis(spec.length)
         amps = rng.normal(size=(2, 3, 27)) + 1j * rng.normal(size=(2, 3, 27))
         draws = rng.random((2, 3))
-        probs = born_probabilities(amps, spec, 2)
-        reset, outcomes = measure_and_reset(amps, spec, 2, draws)
+        probs = born_probabilities(amps, basis, 2)
+        reset, outcomes = measure_and_reset(amps, basis, 2, draws)
         assert probs.shape == (2, 3, 3) and outcomes.shape == (2, 3)
         for idx in np.ndindex(2, 3):
             psi = StateVector(amps[idx] / np.linalg.norm(amps[idx]))
-            assert np.allclose(probs[idx], born_probabilities(psi.amplitudes, spec, 2))
-            out, outcome = apply_feedback_measurement(psi, spec, 2, _FixedUniform(draws[idx]))
+            assert np.allclose(probs[idx], born_probabilities(psi.amplitudes, basis, 2))
+            out, outcome = apply_feedback_measurement(psi, basis, 2, _FixedUniform(draws[idx]))
             assert outcome == outcomes[idx]
             # the batch keeps the branch norm: sqrt(p_outcome) of the input norm
             norm = np.linalg.norm(reset[idx])
@@ -231,6 +236,28 @@ class TestThermalSampling:
         psi = sample_thermal_initial(real, NoiseModel(), coding, rng)
         expected = StateVector.basis_state(spec, [2, 0, 0])
         assert np.abs(psi.amplitudes - expected.amplitudes).max() < 1e-12
+
+    def test_sector_state_is_the_full_state_restricted(self):
+        spec = LatticeSpec.from_mhz(4, 7500, 250, 5, 100)
+        real = realize_disorder(spec, 3)
+        model = NoiseModel(temperature=0.3)
+        coding = np.array([1.0, 1.0, 0.0])
+        sector = FockBasis(4, 3, 2)
+        inside = sector.index(FockBasis(4).occupations) >= 0
+        outcomes = set()
+        for seed in range(40):
+            full = sample_thermal_initial(real, model, coding, np.random.default_rng(seed))
+            fits = not np.any(full.amplitudes[~inside])
+            outcomes.add(fits)
+            if fits:
+                part = sample_thermal_initial(real, model, coding, np.random.default_rng(seed),
+                                              sector)
+                assert np.array_equal(full.amplitudes[inside], part.amplitudes)
+            else:
+                with pytest.raises(ValueError):
+                    sample_thermal_initial(real, model, coding, np.random.default_rng(seed),
+                                           sector)
+        assert outcomes == {True, False}
 
     def test_boltzmann_ratio_at_100mk(self, rng):
         # 7.5 GHz at 100 mK: P1/P0 = exp(-3.6) within sampling error

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from lrusim.lattice import (
     DisorderRealization,
+    FockBasis,
     LatticeSpec,
     build_bose_hubbard,
     build_effective_nonhermitian,
@@ -14,7 +15,7 @@ from lrusim.lattice import (
 )
 from lrusim.units import TWO_PI, angular_from_mhz
 
-from conftest import dense_bose_hubbard_oracle, evolve_dense_oracle
+from conftest import dense_bose_hubbard_oracle, evolve_dense_oracle, fock_states
 
 
 FIG1 = dict(length=3, f_mhz=7500.0, u_mhz=250.0, j_mhz=5.0, w_mhz=100.0)
@@ -88,6 +89,57 @@ class TestSiteOperators:
             ham = build_bose_hubbard(realize_disorder(spec, seed)).dense()
             comm = ham @ number - number @ ham
             assert np.abs(comm).max() < 1e-10
+
+
+class TestFockBasis:
+    @pytest.mark.parametrize("length", [1, 2, 3, 4])
+    def test_full_table_is_the_kronecker_order(self, length):
+        basis = FockBasis(length)
+        assert basis.occupations.tolist() == [list(s) for s in fock_states(length)]
+        assert np.array_equal(basis.index(basis.occupations), np.arange(3**length))
+
+    def test_sector_keeps_the_full_order(self):
+        full = fock_states(5)
+        for n_max in range(0, 11):
+            sector = FockBasis(5, 3, n_max)
+            assert sector.occupations.tolist() == [list(s) for s in full if sum(s) <= n_max]
+        assert [FockBasis(L, 3, 2).dimension for L in (3, 4, 5, 8, 12)] == [10, 15, 21, 45, 91]
+
+    def test_index_marks_states_outside(self):
+        basis = FockBasis(3, 3, 2)
+        assert basis.index([[0, 1, 1], [1, 1, 1], [0, 0, 3], [0, -1, 0]]).tolist() == [4, -1, -1, -1]
+
+    def test_sector_hamiltonian_is_the_oracle_block(self):
+        spec = LatticeSpec(4, 9.0, 4.0, 0.8, 3.0)
+        real = realize_disorder(spec, 6)
+        oracle = dense_bose_hubbard_oracle(real.omegas, real.anharmonicities, spec.hopping)
+        for n_max in (1, 2, 3):
+            rows = [i for i, s in enumerate(fock_states(4)) if sum(s) <= n_max]
+            ham = build_bose_hubbard(real, FockBasis(4, 3, n_max)).dense()
+            assert np.abs(ham - oracle[np.ix_(rows, rows)]).max() < 1e-12
+
+    def test_sector_site_operators_are_full_blocks(self):
+        spec = LatticeSpec(3, 1.0, 1.0, 0.1)
+        rows = [i for i, s in enumerate(fock_states(3)) if sum(s) <= 2]
+        sector = FockBasis(3, 3, 2)
+        for kind in ("annihilation", "creation", "number", "leakage_number"):
+            full = build_site_operator(spec, 2, kind).dense()
+            block = build_site_operator(spec, 2, kind, sector).dense()
+            assert np.array_equal(block, full[np.ix_(rows, rows)]), kind
+
+    def test_sector_no_jump_hamiltonian_is_the_full_block(self):
+        spec = LatticeSpec(3, 2.0, 5.0, 0.4, 1.0)
+        real = realize_disorder(spec, 2)
+        rows = [i for i, s in enumerate(fock_states(3)) if sum(s) <= 2]
+        full = build_effective_nonhermitian(build_bose_hubbard(real), 3, 0.7, "dissipation")
+        sector = build_effective_nonhermitian(
+            build_bose_hubbard(real, FockBasis(3, 3, 2)), 3, 0.7, "dissipation")
+        assert np.abs(sector.dense() - full.dense()[np.ix_(rows, rows)]).max() < 1e-12
+
+    def test_basis_must_match_lattice(self):
+        spec = LatticeSpec(3, 1.0, 1.0, 0.1)
+        with pytest.raises(ValueError):
+            build_site_operator(spec, 1, "number", FockBasis(4, 3, 2))
 
 
 class TestBoseHubbard:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lrusim.lattice import LatticeSpec, build_site_operator
+from lrusim.lattice import FockBasis, LatticeSpec, build_site_operator
 from lrusim.observables import (
     coherence_envelope,
     density_site1_coherence,
@@ -59,7 +59,7 @@ class TestBatchedForms:
         # a (2, 4) batch of unnormalized L = 3 states
         spec = LatticeSpec(3, 1.0, 1.0, 0.1)
         amps = rng.normal(size=(2, 4, 27)) + 1j * rng.normal(size=(2, 4, 27))
-        leak, occ = site_expectations(np.abs(amps) ** 2)
+        leak, occ = site_expectations(np.abs(amps) ** 2, FockBasis(3))
         assert leak.shape == occ.shape == (2, 4, 3)
         for site in range(1, 4):
             for kind, got in (("leakage_number", leak), ("number", occ)):
@@ -70,12 +70,13 @@ class TestBatchedForms:
     def test_density_batch_matches_states(self, rng):
         amps = rng.normal(size=(5, 27)) + 1j * rng.normal(size=(5, 27))
         rho = np.einsum("ti,tj->tij", amps, amps.conj())
-        from_states = state_site1_coherence(amps)
-        from_densities = density_site1_coherence(rho)
+        basis = FockBasis(3)
+        from_states = state_site1_coherence(amps, basis)
+        from_densities = density_site1_coherence(rho, basis)
         assert from_states.shape == from_densities.shape == (5,)
         assert np.abs(from_states - from_densities).max() < 1e-12
-        leak, occ = site_expectations(np.diagonal(rho, axis1=1, axis2=2).real)
-        leak_s, occ_s = site_expectations(np.abs(amps) ** 2)
+        leak, occ = site_expectations(np.diagonal(rho, axis1=1, axis2=2).real, basis)
+        leak_s, occ_s = site_expectations(np.abs(amps) ** 2, basis)
         assert np.abs(leak - leak_s).max() < 1e-12 and np.abs(occ - occ_s).max() < 1e-12
 
 

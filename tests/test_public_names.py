@@ -54,5 +54,5 @@ def test_ensemble_looks_up_eig_when_called(monkeypatch):
         t_max=1.0, dt=0.1, n_trajectories=4,
     )
     lrusim.run_ensemble(config)
-    # one batched call per chunk
-    assert shapes == [(4, 9, 9)]
+    # one batched call per chunk, in the N <= 2 sector of ket2 (6 of 9 states)
+    assert shapes == [(4, 6, 6)]

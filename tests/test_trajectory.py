@@ -4,12 +4,14 @@
 measurements at their scheduled times, so its only error is statistical.
 The oracle tests bound that error point by point against the dense master
 equation; the determinism tests pin that chunking and threading never
-change a result.
+change a result. The sector tests pin that running in the N <= N_max
+excitation sector gives what the same engine gives in the full space.
 """
 
 import numpy as np
 import pytest
 
+import lrusim.trajectory
 from lrusim import (
     LatticeSpec,
     NoiseModel,
@@ -29,9 +31,9 @@ ORACLE_SERIES = ("leakage_total", "leakage_site1", "occupation_site1")
 
 
 def chain_config(kind, rate, n_trajectories, t_max, dt, stride, noise, seed=0,
-                 coding="ket2"):
+                 coding="ket2", length=3, disorder=0.0):
     return SimulationConfig(
-        lattice=LatticeSpec(3, 0.0, 10.0, 1.0),
+        lattice=LatticeSpec(length, 0.0, 10.0, 1.0, disorder),
         channel=ResetChannel(kind, rate),
         t_max=t_max,
         dt=dt,
@@ -87,7 +89,7 @@ class TestDeterminism:
     ])
     def test_thread_count_does_not_change_result(self, kind, coding):
         config = short_config(kind, coding)
-        assert config.n_trajectories > _chunk_size(config.lattice.dimension)
+        assert config.n_trajectories > _chunk_size(lrusim.trajectory._sector(config).dimension)
         one = run_ensemble(config, n_threads=1)
         two = run_ensemble(config, n_threads=2)
         for name, value in vars(one).items():
@@ -101,3 +103,52 @@ class TestDeterminism:
         for name in ("leakage_total", "leakage_site1", "occupation_site1", "coherence_site1"):
             mean = np.mean([getattr(s, name) for s in singles], axis=0)
             assert np.max(np.abs(mean - getattr(ens, name))) < 1e-12, name
+
+
+def full_space(config):
+    spec = config.lattice
+    return spec.length * (spec.local_dim - 1)
+
+
+class TestSector:
+    def test_sector_bound_follows_the_initial_state(self):
+        noise = NoiseModel(0.01, 0.01)
+        for coding, n_max in (("ket0", 0), ("ket1", 1), ("ket2", 2), ("plus", 1)):
+            config = chain_config("dissipation", 1.0, 4, 1.0, 0.1, 1, noise, coding=coding)
+            assert lrusim.trajectory._max_excitations(config) == n_max
+        hot = chain_config("dissipation", 1.0, 4, 1.0, 0.1, 1, NoiseModel(0.01, 0.01, 0.05))
+        assert lrusim.trajectory._max_excitations(hot) == 6
+
+    @pytest.mark.parametrize("length", [3, 4])
+    @pytest.mark.parametrize("coding", ["ket2", "plus"])
+    @pytest.mark.parametrize("kind", ["dissipation", "periodic_feedback", "random_feedback"])
+    def test_sector_matches_full_space(self, monkeypatch, kind, coding, length):
+        config = chain_config(kind, 2.0, 16, 3.0, 0.05, 4, NoiseModel(0.1, 0.1), seed=5,
+                              coding=coding, length=length, disorder=2.0)
+        sector = run_ensemble(config)
+        monkeypatch.setattr(lrusim.trajectory, "_max_excitations", full_space)
+        full = run_ensemble(config)
+        for name, value in vars(sector).items():
+            assert np.max(np.abs(np.asarray(value) - getattr(full, name))) < 1e-10, name
+
+    def test_long_chain_runs_in_its_sector(self, monkeypatch):
+        # 3**12 = 531441 states would exceed the operator budget; N <= 2 has 91
+        shapes = []
+        eig = np.linalg.eig
+
+        def recording_eig(matrices):
+            shapes.append(np.shape(matrices))
+            return eig(matrices)
+
+        monkeypatch.setattr(np.linalg, "eig", recording_eig)
+        config = chain_config("dissipation", 2.0, 32, 2.0, 0.1, 2, NoiseModel(0.01, 0.01),
+                              length=12)
+        ens = run_ensemble(config)
+        assert shapes == [(32, 91, 91)]
+        eps = 1e-12
+        for name, top in (("leakage_total", 1.0), ("leakage_site1", 1.0),
+                          ("occupation_site1", 2.0), ("coherence_envelope_site1", 1.0)):
+            series = getattr(ens, name)
+            assert np.all(np.isfinite(series)), name
+            assert series.min() >= -eps and series.max() <= top + eps, name
+        assert ens.leakage_total[0] == pytest.approx(1.0, abs=1e-12)
