@@ -4,7 +4,7 @@ A chain of disordered three-level transmons keeps its two-boson (leakage)
 level resonant across the array while detuning the single-excitation
 levels, so leakage propagates to the last site where a reset channel --
 periodic or random feedback measurement, or engineered dissipation --
-removes it. The package provides the lattice operators, exact/Krylov
+removes it. The package provides the lattice operators, exact eigenbasis
 propagation, stochastic trajectory ensembles with a dense master-equation
 oracle, decay-time extraction and the closed-form two-site analytics.
 """
@@ -28,7 +28,6 @@ from .channels import (
     NoiseModel,
     ResetChannel,
     apply_feedback_measurement,
-    dissipation_jump_step,
     measurement_times,
     noise_jump_operators,
     sample_thermal_initial,
@@ -52,9 +51,7 @@ from .observables import (
     propagation_time,
 )
 from .propagator import (
-    Propagator,
     StateVector,
-    propagate,
     propagate_nonhermitian_norm,
 )
 from .trajectory import (
@@ -75,7 +72,6 @@ __all__ = [
     "LatticeSpec",
     "NoiseModel",
     "OperatorMatrix",
-    "Propagator",
     "ResetChannel",
     "SimulationConfig",
     "StateVector",
@@ -93,7 +89,6 @@ __all__ = [
     "diss_qubit_times",
     "diss_rate_high",
     "diss_rate_low",
-    "dissipation_jump_step",
     "fb_leakage_rate_high",
     "fb_leakage_rate_low",
     "fb_qubit_times",
@@ -102,7 +97,6 @@ __all__ = [
     "liouvillian_qubit_gap",
     "measurement_times",
     "noise_jump_operators",
-    "propagate",
     "propagate_nonhermitian_norm",
     "propagation_time",
     "realize_disorder",

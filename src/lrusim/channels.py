@@ -34,7 +34,7 @@ PROJECTION_EPS = 1e-15
 
 
 class StepTooLargeError(Exception):
-    """Total jump probability in one step reached one; reduce dt."""
+    """Per-step event probability rate*dt reached one; reduce dt."""
 
 
 @dataclass(frozen=True)
@@ -196,32 +196,6 @@ def noise_jump_operators(model: NoiseModel, spec: LatticeSpec,
             op.hermitian = True
             ops.append(op)
     return ops
-
-
-def dissipation_jump_step(psi: StateVector, jump_ops, no_jump_step, dt: float,
-                          rng: np.random.Generator) -> StateVector:
-    """One first-order trajectory step with candidate quantum jumps.
-
-    With probability dp_k = dt * ||L_k psi||^2 the normalized jump
-    L_k psi / ||L_k psi|| is applied; otherwise the state evolves under the
-    no-jump effective Hamiltonian (callable `no_jump_step`, which should
-    return the unnormalized exp(-i H_eff dt) psi) and is renormalized.
-    A single uniform decides both whether and which jump fires.
-    """
-    amp = psi.amplitudes
-    jumped = [np.asarray(op.data @ amp) for op in jump_ops]
-    dp = np.array([dt * np.vdot(j, j).real for j in jumped])
-    total = dp.sum()
-    if total >= 1.0:
-        raise StepTooLargeError(f"total jump probability {total:.3f} >= 1")
-    r = rng.random()
-    if r < total:
-        k = int(np.searchsorted(np.cumsum(dp), r, side="right"))
-        k = min(k, len(jumped) - 1)
-        out = jumped[k]
-        return StateVector(out / np.linalg.norm(out))
-    out = np.asarray(no_jump_step(amp))
-    return StateVector(out / np.linalg.norm(out))
 
 
 def local_thermal_weights(omega: float, anharmonicity: float, temperature: float,

@@ -17,15 +17,12 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .units import angular_from_mhz
 
-#: Matrices at or below this dimension are stored dense.
-DENSE_DIM_LIMIT = 1024
-
-#: Refuse to build operators above this many basis states.
-MAX_DIMENSION = 60_000
+#: Refuse to build operators above this many basis states. Operators are
+#: stored dense, and a complex one of 4096 states takes 256 MiB.
+MAX_DIMENSION = 4096
 
 HERMITICITY_TOL = 1e-12
 
@@ -211,13 +208,13 @@ class FockBasis:
 class OperatorMatrix:
     """Operator on the chain Hilbert space (or an effective model space).
 
-    ``data`` is a dense ndarray for dimensions up to DENSE_DIM_LIMIT and a
-    CSR sparse matrix above. ``model`` tags the space the operator acts on:
-    "bose_hubbard" (the Fock states of ``basis``), "leakage_effective"
-    (L-dim single-leakage-particle space) or "generic".
+    ``data`` is a dense (dimension, dimension) ndarray. ``model`` tags the
+    space the operator acts on: "bose_hubbard" (the Fock states of
+    ``basis``), "leakage_effective" (L-dim single-leakage-particle space)
+    or "generic".
     """
 
-    data: "np.ndarray | sp.spmatrix"
+    data: np.ndarray
     dimension: int
     hermitian: bool
     model: str = "generic"
@@ -225,50 +222,24 @@ class OperatorMatrix:
     basis: FockBasis | None = field(default=None, repr=False)
 
     def dense(self) -> np.ndarray:
-        if sp.issparse(self.data):
-            return self.data.toarray()
-        return np.asarray(self.data)
-
-    def sparse(self) -> sp.csr_matrix:
-        if sp.issparse(self.data):
-            return self.data.tocsr()
-        return sp.csr_matrix(self.data)
-
-    def __matmul__(self, other):
-        if isinstance(other, OperatorMatrix):
-            return self.data @ other.data
-        return self.data @ other
+        return self.data
 
 
-def _wrap(matrix, hermitian: bool, model: str = "generic", spec=None,
+def _wrap(matrix: np.ndarray, hermitian: bool, model: str = "generic", spec=None,
           basis=None) -> OperatorMatrix:
-    dim = matrix.shape[0]
-    if dim <= DENSE_DIM_LIMIT and sp.issparse(matrix):
-        matrix = matrix.toarray()
-    elif dim > DENSE_DIM_LIMIT and not sp.issparse(matrix):
-        matrix = sp.csr_matrix(matrix)
     if hermitian:
-        diff = matrix - matrix.conj().T
-        if sp.issparse(diff):
-            maxdiff = np.abs(diff.data).max() if diff.nnz else 0.0
-        else:
-            maxdiff = np.abs(diff).max() if diff.size else 0.0
-        if maxdiff > HERMITICITY_TOL * max(1.0, _scale(matrix)):
+        maxdiff = np.abs(matrix - matrix.conj().T).max(initial=0.0)
+        if maxdiff > HERMITICITY_TOL * max(1.0, np.abs(matrix).max(initial=0.0)):
             raise ValueError("matrix flagged hermitian is not hermitian")
-    return OperatorMatrix(data=matrix, dimension=dim, hermitian=hermitian, model=model,
-                          spec=spec, basis=basis)
-
-
-def _scale(matrix) -> float:
-    if sp.issparse(matrix):
-        return float(np.abs(matrix.data).max()) if matrix.nnz else 0.0
-    return float(np.abs(matrix).max()) if matrix.size else 0.0
+    return OperatorMatrix(data=matrix, dimension=matrix.shape[0], hermitian=hermitian,
+                          model=model, spec=spec, basis=basis)
 
 
 def _chain_operator(spec: LatticeSpec, basis: FockBasis, rows, cols, values,
                     hermitian: bool) -> OperatorMatrix:
-    dim = basis.dimension
-    matrix = sp.csr_matrix((values, (rows, cols)), shape=(dim, dim))
+    values = np.asarray(values)
+    matrix = np.zeros((basis.dimension, basis.dimension), dtype=values.dtype)
+    np.add.at(matrix, (rows, cols), values)
     return _wrap(matrix, hermitian, model="bose_hubbard", spec=spec, basis=basis)
 
 
@@ -311,7 +282,7 @@ def build_site_operator(spec: LatticeSpec, site: int, kind: str,
 
 def total_number_operator(spec: LatticeSpec) -> OperatorMatrix:
     """Total excitation number, sum of the site number operators."""
-    total = sum(build_site_operator(spec, s, "number").sparse() for s in range(1, spec.length + 1))
+    total = sum(build_site_operator(spec, s, "number").data for s in range(1, spec.length + 1))
     return _wrap(total, hermitian=True, model="bose_hubbard", spec=spec)
 
 
@@ -375,23 +346,20 @@ def build_effective_nonhermitian(
     if rate == 0:
         return ham
     dim = ham.dimension
-    if channel_kind in ("periodic_feedback", "random_feedback", "feedback"):
-        shift = sp.identity(dim, format="csr") * (0.5 * rate)
+    if channel_kind in ("periodic_feedback", "random_feedback"):
+        shift = 0.5 * rate * np.eye(dim)
     elif channel_kind == "dissipation":
         if ham.model == "leakage_effective":
             if not 1 <= reset_site <= dim:
                 raise ValueError(f"site {reset_site} outside 1..{dim}")
-            proj = sp.csr_matrix(
-                ([rate], ([reset_site - 1], [reset_site - 1])), shape=(dim, dim)
-            )
-            shift = proj
+            shift = np.zeros((dim, dim))
+            shift[reset_site - 1, reset_site - 1] = rate
         else:
             if ham.spec is None:
                 raise ValueError("bose_hubbard operator lacks its LatticeSpec")
-            number = build_site_operator(ham.spec, reset_site, "number", ham.basis).sparse()
+            number = build_site_operator(ham.spec, reset_site, "number", ham.basis).data
             shift = 0.5 * rate * number
     else:
         raise ValueError(f"unknown channel kind {channel_kind!r}")
-    out = ham.sparse().astype(complex) - 1j * shift
-    return _wrap(out.tocsr() if sp.issparse(out) else out, hermitian=False,
+    return _wrap(ham.data.astype(complex) - 1j * shift, hermitian=False,
                  model=ham.model, spec=ham.spec, basis=ham.basis)

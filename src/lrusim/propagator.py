@@ -1,8 +1,10 @@
 """Time evolution under Hermitian and non-Hermitian Hamiltonians.
 
-Small systems diagonalize the Hamiltonian (exact for any step size);
-larger ones use an Arnoldi/Krylov approximation of exp(-i H dt) psi with a
-residual-controlled adaptive restart.
+Every evolution diagonalizes the Hamiltonian once (`eigensystem`) and then
+applies exp(-i H tau) in its eigenbasis (`evolve`), which is exact for any
+step size. The trajectory engine does this for whole batches of
+trajectories; every operator it builds lives in an excitation-number
+sector of at most EXACT_DIM_LIMIT states.
 """
 
 from __future__ import annotations
@@ -10,25 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from .lattice import OperatorMatrix
 
-#: Largest dimension for which the exact eigendecomposition path is used.
+#: Largest sector dimension the trajectory engine diagonalizes.
 EXACT_DIM_LIMIT = 729
-
-DEFAULT_KRYLOV_DIM = 20
-DEFAULT_KRYLOV_TOL = 1e-10
-
-
-class KrylovConvergenceError(Exception):
-    """Krylov step failed to reach the requested tolerance."""
-
-    def __init__(self, residual: float, tol: float):
-        super().__init__(f"Krylov residual {residual:.3e} above tolerance {tol:.3e}")
-        self.residual = residual
-        self.tol = tol
 
 
 @dataclass
@@ -93,44 +81,16 @@ def eigensystem(matrices, hermitian: bool):
     return evals, vecs, np.linalg.inv(vecs)
 
 
-@dataclass
-class Propagator:
-    """Evolution method selector.
+def evolve(vecs, evals, coeffs, taus):
+    """exp(-i H tau) applied in the eigenbasis: V exp(-i lambda tau) c.
 
-    method "auto" picks exact eigendecomposition for dimensions up to
-    EXACT_DIM_LIMIT and Krylov above; "exact" and "krylov" force a path.
+    `vecs` (..., n, n) and `evals` (..., n) come from `eigensystem`,
+    `coeffs` (..., n) are a state's eigenbasis coefficients (V^-1 psi) and
+    `taus` (...) the durations; leading axes broadcast. Returns the
+    amplitudes (..., n) in the original basis.
     """
-
-    method: str = "auto"
-    krylov_dim: int = DEFAULT_KRYLOV_DIM
-    krylov_tol: float = DEFAULT_KRYLOV_TOL
-
-    def _resolve(self, dim: int) -> str:
-        if self.method == "auto":
-            return "exact" if dim <= EXACT_DIM_LIMIT else "krylov"
-        if self.method == "exact" and dim > EXACT_DIM_LIMIT:
-            raise ValueError(f"exact method limited to dimension {EXACT_DIM_LIMIT}")
-        return self.method
-
-
-def propagate(prop: Propagator, ham: OperatorMatrix, psi: StateVector, dt: float) -> StateVector:
-    """Return exp(-i H dt) |psi>.
-
-    Norm is preserved (to float rounding) for hermitian H; non-increasing
-    for the no-jump Hamiltonians produced by the reset channels.
-    """
-    amp = psi.amplitudes
-    if amp.size != ham.dimension:
-        raise ValueError("state and operator dimensions differ")
-    method = prop._resolve(ham.dimension)
-    if method == "exact":
-        evals, vecs, vinv = eigensystem(ham.dense(), ham.hermitian)
-        return StateVector(vecs @ (np.exp(-1j * evals * dt) * (vinv @ amp)))
-    out = krylov_expm_apply(
-        ham.data, amp, dt, m=prop.krylov_dim, tol=prop.krylov_tol,
-        hermitian=ham.hermitian,
-    )
-    return StateVector(out)
+    phased = coeffs * np.exp(-1j * evals * np.asarray(taus)[..., None])
+    return np.matmul(vecs, phased[..., None])[..., 0]
 
 
 def propagate_nonhermitian_norm(ham_eff: OperatorMatrix, psi0: StateVector, t_grid) -> np.ndarray:
@@ -139,102 +99,6 @@ def propagate_nonhermitian_norm(ham_eff: OperatorMatrix, psi0: StateVector, t_gr
     For a dissipative no-jump Hamiltonian the result is the trajectory
     survival probability and is monotone non-increasing.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    amp = psi0.amplitudes
-    if ham_eff.dimension <= EXACT_DIM_LIMIT:
-        evals, vecs, vinv = eigensystem(ham_eff.dense(), ham_eff.hermitian)
-        phases = np.exp(-1j * np.outer(t_grid, evals))  # (nt, dim)
-        states = phases * (vinv @ amp)  # eigenbasis coefficients at each time
-        site = states @ vecs.T  # (nt, dim) amplitudes in the site basis
-        return np.einsum("ti,ti->t", site, site.conj()).real
-    norms = np.empty(t_grid.size)
-    prop = Propagator(method="krylov")
-    current = amp.copy()
-    t_prev = 0.0
-    for i, t in enumerate(t_grid):
-        if t < t_prev:
-            raise ValueError("t_grid must be non-decreasing")
-        if t > t_prev:
-            current = krylov_expm_apply(ham_eff.data, current, t - t_prev,
-                                        m=prop.krylov_dim, tol=prop.krylov_tol,
-                                        hermitian=False)
-        norms[i] = np.vdot(current, current).real
-        t_prev = t
-    return norms
-
-
-def krylov_expm_apply(matrix, vec: np.ndarray, dt: float, m: int = DEFAULT_KRYLOV_DIM,
-                      tol: float = DEFAULT_KRYLOV_TOL, hermitian: bool = True,
-                      max_substeps: int = 4096) -> np.ndarray:
-    """Arnoldi approximation of exp(-i A dt) v with adaptive substepping.
-
-    The step is split in half whenever the standard a-posteriori residual
-    estimate (last-row coupling of the Hessenberg matrix) exceeds `tol`
-    relative to the vector norm. Works for non-Hermitian A as well; the
-    Arnoldi basis is built the same way, only without the short recurrence.
-    """
-    if dt == 0:
-        return vec.copy()
-    remaining = float(dt)
-    sub = float(dt)
-    current = vec.astype(complex)
-    steps = 0
-    while remaining > 0:
-        step = min(sub, remaining)
-        new, err = _arnoldi_step(matrix, current, step, m)
-        scale = np.linalg.norm(current)
-        if scale == 0:
-            return current
-        if err > tol * scale:
-            sub = step / 2.0
-            steps += 1
-            if steps > max_substeps:
-                raise KrylovConvergenceError(err / scale, tol)
-            continue
-        current = new
-        remaining -= step
-        steps += 1
-        if steps > max_substeps:
-            raise KrylovConvergenceError(err / scale, tol)
-    return current
-
-
-def _arnoldi_step(matrix, vec: np.ndarray, dt: float, m: int):
-    """One Krylov step: returns (exp(-i A dt) v approx, residual estimate)."""
-    beta = np.linalg.norm(vec)
-    if beta == 0:
-        return vec.copy(), 0.0
-    n = vec.size
-    m = min(m, n)
-    basis = np.zeros((m + 1, n), dtype=complex)
-    hess = np.zeros((m + 1, m), dtype=complex)
-    basis[0] = vec / beta
-    used = m
-    breakdown = False
-    for j in range(m):
-        w = matrix @ basis[j]
-        # modified Gram-Schmidt with one reorthogonalization pass
-        for _ in range(2):
-            for i in range(j + 1):
-                h = np.vdot(basis[i], w)
-                hess[i, j] += h
-                w = w - h * basis[i]
-        h_next = np.linalg.norm(w)
-        hess[j + 1, j] = h_next
-        if h_next < 1e-14 * beta:
-            used = j + 1
-            breakdown = True
-            break
-        basis[j + 1] = w / h_next
-    h_small = hess[:used, :used]
-    small_exp = scipy.linalg.expm(-1j * dt * h_small)
-    coeff = beta * small_exp[:, 0]
-    result = coeff @ basis[:used]
-    if breakdown:
-        return result, 0.0
-    # residual estimate from the Hessenberg coupling to the discarded vector,
-    # sampled at dt and dt/2 to guard against an endpoint zero-crossing
-    half = beta * scipy.linalg.expm(-0.5j * dt * h_small)[:, 0]
-    tail = max(abs(coeff[used - 1]), abs(half[used - 1]))
-    err = float(abs(dt * hess[used, used - 1]) * tail)
-    return result, err
+    evals, vecs, vinv = eigensystem(ham_eff.dense(), ham_eff.hermitian)
+    site = evolve(vecs, evals, vinv @ psi0.amplitudes, t_grid)
+    return (site.real**2 + site.imag**2).sum(axis=-1)

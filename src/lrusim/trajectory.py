@@ -48,7 +48,7 @@ from .lattice import (
     realize_disorder,
 )
 from .observables import density_site1_coherence, site_expectations, state_site1_coherence
-from .propagator import EXACT_DIM_LIMIT, eigensystem
+from .propagator import EXACT_DIM_LIMIT, eigensystem, evolve
 
 #: Per-chunk trajectory count, shrunk for large sectors so the cached
 #: eigendecompositions (three sector-dimension squares per trajectory) stay
@@ -224,7 +224,6 @@ class _ChunkEngine:
         self.evals, self.vecs, self.vinv = eigensystem(hams, hermitian=not self.jump_ops)
         self.psi = psi
         self.t_cur = np.zeros(B)
-        self._u_fixed = None
 
     def _init_channel_schedule(self):
         cfg = self.config
@@ -247,7 +246,7 @@ class _ChunkEngine:
             for row, idx in enumerate(self.indices):
                 rng = _stream(cfg.master_seed, idx, 2)
                 self.meas_rngs[row] = rng
-                self.next_meas[row] = self._draw_random_gap(rng) + 0.0
+                self.next_meas[row] = self._draw_random_gap(rng)
 
     def _draw_random_gap(self, rng) -> float:
         """Steps-to-next-event of the per-dt Bernoulli process, as a time."""
@@ -271,30 +270,10 @@ class _ChunkEngine:
 
     def _evolve_rows(self, rows: np.ndarray, taus: np.ndarray):
         """Advance the given rows by per-row durations (states only)."""
-        if rows.size == 0:
-            return
-        whole = rows.size == self.batch
-        if self.period is not None and np.allclose(
-            taus, self.period, rtol=0, atol=1e-6 * self.period
-        ):
-            if self._u_fixed is None:
-                phases = np.exp(-1j * self.evals * self.period)
-                self._u_fixed = self.vecs @ (phases[:, :, None] * self.vinv)
-            u = self._u_fixed if whole else self._u_fixed[rows]
-            out = np.matmul(u, self.psi[rows, :, None])[:, :, 0]
-            if whole:
-                self.psi = out
-            else:
-                self.psi[rows] = out
-            return
-        if whole:
-            coeff = np.matmul(self.vinv, self.psi[:, :, None])[:, :, 0]
-            coeff *= np.exp(-1j * self.evals * taus[:, None])
-            self.psi = np.matmul(self.vecs, coeff[:, :, None])[:, :, 0]
-            return
-        coeff = np.matmul(self.vinv[rows], self.psi[rows, :, None])[:, :, 0]
-        coeff *= np.exp(-1j * self.evals[rows] * taus[:, None])
-        self.psi[rows] = np.matmul(self.vecs[rows], coeff[:, :, None])[:, :, 0]
+        # a slice views the whole batch where an index array would copy it
+        rows = slice(None) if rows.size == self.batch else rows
+        coeffs = np.matmul(self.vinv[rows], self.psi[rows, :, None])[:, :, 0]
+        self.psi[rows] = evolve(self.vecs[rows], self.evals[rows], coeffs, taus)
 
     def _advance_to(self, rows: np.ndarray, targets: np.ndarray):
         """Advance rows to absolute times, resolving jumps on the way."""
@@ -324,7 +303,7 @@ class _ChunkEngine:
             span = t_to - t_from
 
             def norm_at(tau):
-                amp = vecs @ (np.exp(-1j * evals * tau) * c0)
+                amp = evolve(vecs, evals, c0, tau)
                 return float(np.vdot(amp, amp).real), amp
 
             n_end, amp_end = norm_at(span)

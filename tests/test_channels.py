@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from lrusim.channels import (
     StepTooLargeError,
     apply_feedback_measurement,
     born_probabilities,
-    dissipation_jump_step,
     local_thermal_weights,
     measure_and_reset,
     measurement_times,
@@ -18,6 +18,9 @@ from lrusim.channels import (
 )
 from lrusim.lattice import FockBasis, LatticeSpec, build_site_operator, realize_disorder
 from lrusim.propagator import StateVector
+from lrusim.trajectory import SimulationConfig, run_ensemble, run_trajectory
+
+from test_trajectory import Z_BOUND, max_z
 
 
 class _FixedUniform:
@@ -155,54 +158,6 @@ class TestNoiseOperators:
         element = ops[0].dense()[1, 1]
         assert abs(element) ** 2 == pytest.approx(2 * kappa, rel=1e-12)
 
-
-class TestJumpStep:
-    def test_no_rates_pure_unitary(self, rng):
-        spec = LatticeSpec(1, 2.0, 1.0, 0.0)
-        psi = StateVector.basis_state(spec, [1])
-        phase = np.exp(-1j * 0.3)
-        out = dissipation_jump_step(psi, [], lambda a: phase * a, 0.1, rng)
-        assert np.abs(out.amplitudes - phase * psi.amplitudes).max() < 1e-12
-
-    def test_vacuum_never_jumps(self, rng):
-        spec = LatticeSpec(2, 1.0, 1.0, 0.1)
-        gamma = 0.5
-        ops = noise_jump_operators(NoiseModel(relaxation_rate=gamma), spec)
-        psi = StateVector.basis_state(spec, [0, 0])
-        for _ in range(100):
-            out = dissipation_jump_step(psi, ops, lambda a: a, 0.05, rng)
-            assert np.abs(out.amplitudes - psi.amplitudes).max() < 1e-12
-
-    def test_survival_matches_exponential_decay(self, rng):
-        # |1> with jump sqrt(gamma) a: survival after t is e^{-gamma t}
-        gamma = 0.8
-        spec = LatticeSpec(1, 0.0, 1.0, 0.0)
-        op = build_site_operator(spec, 1, "annihilation")
-        op.data = op.data * math.sqrt(gamma)
-        dt = 0.02
-        n_steps = 40
-        t = dt * n_steps
-        n_traj = 6000
-        decay_factor = np.exp(-0.5 * gamma * dt)  # exact no-jump half-rate
-        survived = 0
-        base = StateVector.basis_state(spec, [1])
-        for _ in range(n_traj):
-            psi = StateVector(base.amplitudes.copy())
-            alive = True
-            for _ in range(n_steps):
-                before = psi.amplitudes.copy()
-                psi = dissipation_jump_step(
-                    psi, [op], lambda a: decay_factor * a, dt, rng
-                )
-                if abs(psi.amplitudes[0]) > 0.5:  # jumped to |0>
-                    alive = False
-                    break
-            if alive:
-                survived += 1
-        p = math.exp(-gamma * t)
-        se = math.sqrt(p * (1 - p) / n_traj)
-        assert abs(survived / n_traj - p) < 2.5 * se + 5e-3
-
     def test_probability_budget_first_order(self, rng):
         # sum dp_k + ||no-jump branch||^2 = 1 within O(dt^2)
         spec = LatticeSpec(2, 1.0, 1.0, 0.1)
@@ -219,13 +174,57 @@ class TestJumpStep:
                 budget = dp + np.linalg.norm(no_jump) ** 2
                 assert abs(budget - 1.0) < 10 * dt**2
 
-    def test_too_large_dt_raises(self, rng):
-        spec = LatticeSpec(1, 0.0, 1.0, 0.0)
-        op = build_site_operator(spec, 1, "annihilation")
-        op.data = op.data * 10.0
-        psi = StateVector.basis_state(spec, [2])
+
+def single_site_config(coding, t_max, dt, n_trajectories, noise=None, channel=None):
+    return SimulationConfig(
+        lattice=LatticeSpec(1, 2.0, 1.0, 0.0), channel=channel, t_max=t_max, dt=dt,
+        n_trajectories=n_trajectories, noise=noise, initial_coding_state=coding,
+    )
+
+
+class TestJumpStep:
+    """The quantum-jump rule as the trajectory engine applies it.
+
+    The engine locates each jump by the waiting-time rule over the operators
+    of `noise_jump_operators` and the reset channel, so these checks run
+    whole trajectories.
+    """
+
+    def test_no_rates_pure_unitary(self):
+        # no jump operators: |+> only picks up the phase e^{-i omega t} on |1>
+        config = single_site_config("plus", t_max=3.0, dt=0.1, n_trajectories=1)
+        out = run_trajectory(config, 0)
+        omega = config.lattice.mean_frequency
+        assert np.abs(out.occupation_site1 - 0.5).max() < 1e-12
+        assert np.abs(out.coherence_site1 - 0.5 * np.exp(1j * omega * out.time_grid)).max() < 1e-12
+
+    def test_vacuum_never_jumps(self):
+        noise = NoiseModel(relaxation_rate=0.5, dephasing_rate=0.5)
+        config = SimulationConfig(
+            lattice=LatticeSpec(2, 1.0, 1.0, 0.1), channel=None, t_max=5.0, dt=0.1,
+            n_trajectories=32, noise=noise, initial_coding_state="ket0",
+        )
+        ens = run_ensemble(config)
+        for name in ("leakage_total", "occupation_site1", "coherence_envelope_site1"):
+            assert np.all(getattr(ens, name) == 0.0), name
+
+    def test_survival_matches_exponential_decay(self):
+        # |1> with jump sqrt(gamma) a: the excitation survives with e^{-gamma t}
+        gamma = 0.8
+        config = single_site_config("ket1", t_max=4.0, dt=0.1, n_trajectories=1000,
+                                    noise=NoiseModel(relaxation_rate=gamma))
+        ens = run_ensemble(config)
+        exact = SimpleNamespace(occupation_site1=np.exp(-gamma * ens.time_grid))
+        assert max_z(ens, exact, "occupation_site1") < Z_BOUND
+        assert ens.occupation_site1[-1] < 0.1
+
+    def test_too_large_dt_raises(self):
+        # random feedback draws one Bernoulli event per dt with p = rate * dt
+        channel = ResetChannel("random_feedback", rate=10.0)
+        config = single_site_config("ket2", t_max=1.0, dt=0.1, n_trajectories=4,
+                                    channel=channel)
         with pytest.raises(StepTooLargeError):
-            dissipation_jump_step(psi, [op], lambda a: a, 0.1, rng)
+            run_ensemble(config)
 
 
 class TestThermalSampling:

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from lrusim.channels import NoiseModel, noise_jump_operators
 from lrusim.lattice import (
+    MAX_DIMENSION,
+    DimensionBudgetError,
     DisorderRealization,
     FockBasis,
     LatticeSpec,
@@ -274,18 +278,46 @@ class TestEffectiveNonHermitian:
         with pytest.raises(ValueError):
             build_effective_nonhermitian(eff, 5, 1.0, "dissipation")
 
+    def test_unknown_channel_kind_rejected(self):
+        # only the kinds of CHANNEL_KINDS, no "feedback" shorthand
+        ham = build_bose_hubbard(realize_disorder(fig1_spec(length=2), 0))
+        with pytest.raises(ValueError):
+            build_effective_nonhermitian(ham, 2, 1.0, "feedback")
+
 
 class TestStorage:
-    def test_small_dimension_is_dense(self):
-        spec = fig1_spec(length=2)
-        ham = build_bose_hubbard(realize_disorder(spec, 0))
-        assert isinstance(ham.data, np.ndarray)
+    def test_every_builder_is_dense(self):
+        spec = fig1_spec(length=3)
+        real = realize_disorder(spec, 0)
+        ham = build_bose_hubbard(real)
+        sector = FockBasis(3, 3, 2)
+        ops = [
+            ham,
+            build_bose_hubbard(real, sector),
+            build_site_operator(spec, 2, "creation", sector),
+            total_number_operator(spec),
+            build_effective_propagation(real),
+            build_effective_nonhermitian(ham, 3, 0.5, "dissipation"),
+            build_effective_nonhermitian(ham, 3, 0.5, "random_feedback"),
+            *noise_jump_operators(NoiseModel(0.1, 0.1), spec, sector),
+        ]
+        for op in ops:
+            assert isinstance(op.data, np.ndarray)
+            assert op.data.shape == (op.dimension, op.dimension)
 
-    def test_large_dimension_is_sparse(self):
-        spec = LatticeSpec(7, 10.0, 5.0, 0.3, 1.0)  # 3^7 = 2187 > 1024
-        ham = build_bose_hubbard(realize_disorder(spec, 0))
-        assert sp.issparse(ham.data)
-        assert ham.dimension == 3**7
+    def test_over_budget_raises_before_allocating(self):
+        # 3**8 = 6561 states: a dense complex Hamiltonian would take 657 MiB
+        spec = LatticeSpec(8, 10.0, 5.0, 0.3, 1.0)
+        assert spec.dimension > MAX_DIMENSION
+        real = realize_disorder(spec, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionBudgetError):
+                build_bose_hubbard(real)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_unitary_sector_dynamics_of_oracle(self):
         # spot-check: library operator evolves a state identically to the

@@ -12,21 +12,24 @@ from lrusim.lattice import (
     total_number_operator,
 )
 from lrusim.propagator import (
-    KrylovConvergenceError,
-    Propagator,
     StateVector,
     eigensystem,
-    krylov_expm_apply,
-    propagate,
+    evolve,
     propagate_nonhermitian_norm,
 )
 
-from conftest import evolve_dense_oracle
+from conftest import evolve_dense_oracle, evolve_nonhermitian_oracle
 
 
 def random_state(dim, rng):
     amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return StateVector(amp / np.linalg.norm(amp))
+
+
+def evolve_state(ham, psi, dt):
+    """exp(-i H dt) |psi> the way the engine computes it."""
+    evals, vecs, vinv = eigensystem(ham.dense(), ham.hermitian)
+    return StateVector(evolve(vecs, evals, vinv @ psi.amplitudes, dt))
 
 
 class TestExact:
@@ -35,7 +38,7 @@ class TestExact:
         spec = LatticeSpec(1, omega, 1.0, 0.0)
         ham = build_bose_hubbard(realize_disorder(spec, 0))
         psi = StateVector.basis_state(spec, [1])
-        out = propagate(Propagator(), ham, psi, dt=0.9)
+        out = evolve_state(ham, psi, dt=0.9)
         idx = 1
         assert abs(out.amplitudes[idx]) == pytest.approx(1.0, abs=1e-12)
         assert np.angle(out.amplitudes[idx]) == pytest.approx(-omega * 0.9, abs=1e-10)
@@ -51,19 +54,19 @@ class TestExact:
         idx11 = 1 * 3 + 1
         sym = StateVector((StateVector.basis_state(spec, [2, 0]).amplitudes
                            + StateVector.basis_state(spec, [0, 2]).amplitudes) / np.sqrt(2))
-        out = propagate(Propagator(), ham, sym, dt=np.pi / (4 * j))
+        out = evolve_state(ham, sym, dt=np.pi / (4 * j))
         assert abs(out.amplitudes[idx11]) ** 2 == pytest.approx(1.0, abs=1e-10)
         loc = StateVector.basis_state(spec, [2, 0])
-        out = propagate(Propagator(), ham, loc, dt=np.pi / (4 * j))
+        out = evolve_state(ham, loc, dt=np.pi / (4 * j))
         assert abs(out.amplitudes[idx11]) ** 2 == pytest.approx(0.5, abs=1e-10)
 
     def test_norm_preserved_many_steps(self):
         spec = LatticeSpec(2, 5.0, 3.0, 0.4, 1.0)
         ham = build_bose_hubbard(realize_disorder(spec, 5))
-        prop = Propagator()
+        evals, vecs, vinv = eigensystem(ham.dense(), ham.hermitian)
         psi = random_state(9, np.random.default_rng(1))
         for _ in range(10_000):
-            psi = propagate(prop, ham, psi, dt=0.01)
+            psi = StateVector(evolve(vecs, evals, vinv @ psi.amplitudes, 0.01))
         assert abs(psi.norm() - 1.0) < 1e-9
 
     def test_energy_and_excitation_conserved(self):
@@ -71,12 +74,11 @@ class TestExact:
         ham = build_bose_hubbard(realize_disorder(spec, 9))
         number = total_number_operator(spec).dense()
         dense = ham.dense()
-        prop = Propagator()
         psi = random_state(27, np.random.default_rng(2))
         e0 = np.vdot(psi.amplitudes, dense @ psi.amplitudes).real
         n0 = np.vdot(psi.amplitudes, number @ psi.amplitudes).real
         for _ in range(200):
-            psi = propagate(prop, ham, psi, dt=0.05)
+            psi = evolve_state(ham, psi, dt=0.05)
         e1 = np.vdot(psi.amplitudes, dense @ psi.amplitudes).real
         n1 = np.vdot(psi.amplitudes, number @ psi.amplitudes).real
         assert abs(e1 - e0) < 1e-8 * max(1.0, abs(e0))
@@ -85,10 +87,9 @@ class TestExact:
     def test_composition(self):
         spec = LatticeSpec(2, 3.0, 2.0, 0.3, 0.5)
         ham = build_bose_hubbard(realize_disorder(spec, 2))
-        prop = Propagator()
         psi = random_state(9, np.random.default_rng(3))
-        once = propagate(prop, ham, psi, 0.7 + 0.4)
-        twice = propagate(prop, ham, propagate(prop, ham, psi, 0.7), 0.4)
+        once = evolve_state(ham, psi, 0.7 + 0.4)
+        twice = evolve_state(ham, evolve_state(ham, psi, 0.7), 0.4)
         assert np.abs(once.amplitudes - twice.amplitudes).max() < 1e-8
 
     def test_matches_fresh_oracle(self):
@@ -96,7 +97,7 @@ class TestExact:
         real = realize_disorder(spec, 17)
         ham = build_bose_hubbard(real)
         psi = random_state(27, np.random.default_rng(4))
-        out = propagate(Propagator(), ham, psi, 1.7)
+        out = evolve_state(ham, psi, 1.7)
         oracle = evolve_dense_oracle(ham.dense(), psi.amplitudes, 1.7)
         assert np.abs(out.amplitudes - oracle).max() < 1e-10
 
@@ -104,20 +105,13 @@ class TestExact:
         # deleted Hamiltonians free their ids for the next ones: a propagator
         # that kept eigensystems by id handed back a stale one
         spec = LatticeSpec(2, 4.0, 3.0, 0.6, 2.0)
-        prop = Propagator()
         psi = random_state(9, np.random.default_rng(8))
         for seed in range(200):
             ham = build_bose_hubbard(realize_disorder(spec, seed))
-            out = propagate(prop, ham, psi, 1.3)
+            out = evolve_state(ham, psi, 1.3)
             oracle = evolve_dense_oracle(ham.dense(), psi.amplitudes, 1.3)
             assert np.abs(out.amplitudes - oracle).max() < 1e-10, seed
             del ham
-
-    def test_dimension_mismatch(self):
-        spec = LatticeSpec(2, 1.0, 1.0, 0.1)
-        ham = build_bose_hubbard(realize_disorder(spec, 0))
-        with pytest.raises(ValueError):
-            propagate(Propagator(), ham, StateVector(np.ones(4)), 0.1)
 
 
 class TestEigensystem:
@@ -133,51 +127,35 @@ class TestEigensystem:
         assert np.abs(vecs @ (evals[..., None] * vinv) - mats).max() < 1e-10
 
 
-class TestKrylov:
-    def test_agrees_with_exact_L4(self):
-        # dim 81 random states, 100 steps, error below 1e-8
-        spec = LatticeSpec(4, 8.0, 5.0, 0.7, 2.0)
-        ham = build_bose_hubbard(realize_disorder(spec, 21))
-        exact = Propagator(method="exact")
-        krylov = Propagator(method="krylov")
-        rng = np.random.default_rng(5)
-        psi_e = random_state(81, rng)
-        psi_k = StateVector(psi_e.amplitudes.copy())
-        for _ in range(100):
-            psi_e = propagate(exact, ham, psi_e, 0.05)
-            psi_k = propagate(krylov, ham, psi_k, 0.05)
-        assert np.abs(psi_e.amplitudes - psi_k.amplitudes).max() < 1e-8
-
-    def test_large_single_step(self):
-        spec = LatticeSpec(3, 5.0, 4.0, 0.9, 1.5)
-        ham = build_bose_hubbard(realize_disorder(spec, 8))
-        psi = random_state(27, np.random.default_rng(6))
-        out_k = propagate(Propagator(method="krylov"), ham, psi, 4.0)
-        out_e = propagate(Propagator(method="exact"), ham, psi, 4.0)
-        assert np.abs(out_k.amplitudes - out_e.amplitudes).max() < 1e-8
-
-    def test_nonhermitian_krylov(self):
+class TestEvolve:
+    def test_nonhermitian_matches_oracle(self):
+        # a dissipative no-jump Hamiltonian: eig plus inverse, not eigh
         spec = LatticeSpec(2, 2.0, 3.0, 0.4)
         ham = build_bose_hubbard(realize_disorder(spec, 1))
         heff = build_effective_nonhermitian(ham, 2, 1.1, "dissipation")
         psi = random_state(9, np.random.default_rng(7))
-        out = krylov_expm_apply(heff.dense(), psi.amplitudes, 2.0, hermitian=False)
-        evals, vecs = np.linalg.eig(heff.dense())
-        oracle = vecs @ (np.exp(-1j * evals * 2.0) * np.linalg.solve(vecs, psi.amplitudes))
-        assert np.abs(out - oracle).max() < 1e-8
+        out = evolve_state(heff, psi, 2.0)
+        oracle = evolve_nonhermitian_oracle(heff.dense(), psi.amplitudes, 2.0)
+        assert np.abs(out.amplitudes - oracle).max() < 1e-10
+        assert out.norm() < 1.0
 
-    def test_nonconvergence_signals_residual(self):
-        rng = np.random.default_rng(11)
-        mat = rng.normal(size=(80, 80))
-        mat = mat + mat.T
-        vec = rng.normal(size=80) + 0j
-        with pytest.raises(KrylovConvergenceError) as err:
-            krylov_expm_apply(mat, vec, 50.0, m=4, tol=1e-14, max_substeps=3)
-        assert err.value.residual > 0
-
-    def test_exact_refuses_large_dimension(self):
-        with pytest.raises(ValueError):
-            Propagator(method="exact")._resolve(1000)
+    def test_batch_matches_rows(self):
+        # a (2, 3) batch of Hamiltonians, states and durations
+        spec = LatticeSpec(2, 4.0, 3.0, 0.6, 2.0)
+        rng = np.random.default_rng(10)
+        hams = np.array([[build_effective_nonhermitian(
+            build_bose_hubbard(realize_disorder(spec, 3 * i + j)), 2, 0.7, "dissipation").dense()
+            for j in range(3)] for i in range(2)])
+        amps = rng.normal(size=(2, 3, 9)) + 1j * rng.normal(size=(2, 3, 9))
+        taus = rng.uniform(0.0, 3.0, size=(2, 3))
+        evals, vecs, vinv = eigensystem(hams, hermitian=False)
+        batch = evolve(vecs, evals, np.matmul(vinv, amps[..., None])[..., 0], taus)
+        assert batch.shape == (2, 3, 9)
+        for idx in np.ndindex(2, 3):
+            row = evolve(vecs[idx], evals[idx], vinv[idx] @ amps[idx], taus[idx])
+            assert np.abs(batch[idx] - row).max() < 1e-12, idx
+            oracle = evolve_nonhermitian_oracle(hams[idx], amps[idx], taus[idx])
+            assert np.abs(batch[idx] - oracle).max() < 1e-10, idx
 
 
 class TestNonHermitianNorm:

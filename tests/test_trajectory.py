@@ -21,6 +21,7 @@ from lrusim import (
     run_trajectory,
     solve_master_dense,
 )
+from lrusim.propagator import EXACT_DIM_LIMIT
 from lrusim.trajectory import _chunk_size
 
 #: Largest |z| allowed at any grid point. At 256 trajectories, seeds 0-5
@@ -152,3 +153,11 @@ class TestSector:
             assert np.all(np.isfinite(series)), name
             assert series.min() >= -eps and series.max() <= top + eps, name
         assert ens.leakage_total[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_sector_above_exact_limit_raises(self):
+        # at T > 0 the sector is the full space: 3**7 = 2187 states
+        config = chain_config("dissipation", 1.0, 4, 1.0, 0.1, 1,
+                              NoiseModel(0.01, 0.01, 0.05), length=7)
+        assert lrusim.trajectory._sector(config).dimension > EXACT_DIM_LIMIT
+        with pytest.raises(ValueError):
+            run_ensemble(config)
