@@ -29,7 +29,7 @@ HERMITICITY_TOL = 1e-12
 SITE_OPERATOR_KINDS = ("annihilation", "creation", "number", "leakage_number")
 
 
-class DimensionBudgetError(Exception):
+class DimensionBudgetError(ValueError):
     """Requested Hilbert space exceeds the configured memory budget."""
 
 

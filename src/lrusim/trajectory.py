@@ -13,6 +13,12 @@ never leaves the N <= N_0 subspace of its initial state. N_max is the
 largest N an initial state of the configuration can have: the top level in
 the coding state's support at zero temperature, the full space otherwise.
 
+The dense master-equation oracle integrates its density matrix in the same
+sector, with the engine's Hamiltonian, jump operators and observables. Its
+reset Kraus operators |0><n| and its initial density are its own, built
+from the basis occupations, so that it remains an independent reference
+for the engine's measure-and-reset and initial-state sampling.
+
 The integrator is event-driven: between feedback measurements and
 observable grid points the state advances with the cached exact
 eigendecomposition of the (generally non-Hermitian) no-jump Hamiltonian,
@@ -44,7 +50,6 @@ from .lattice import (
     LatticeSpec,
     build_bose_hubbard,
     build_site_operator,
-    full_basis,
     realize_disorder,
 )
 from .observables import density_site1_coherence, site_expectations, state_site1_coherence
@@ -489,16 +494,38 @@ def run_ensemble(config: SimulationConfig, n_threads: int = 1) -> EnsembleObserv
 # dense master-equation oracle
 
 
-def _gibbs_density(real: DisorderRealization, noise: NoiseModel) -> np.ndarray:
+def _initial_density(config: SimulationConfig, real: DisorderRealization,
+                     noise: NoiseModel, basis: FockBasis) -> np.ndarray:
+    """Coding state on site 1 times the idle sites' Gibbs weights, over `basis`.
+
+    rho0 = |c><c| (x) prod_{l>=2} diag(w_l): entry (i, j) is
+    c(n_1) c(n_1')* prod_{l>=2} w_l(n_l) where sites 2..L of rows i and j
+    agree, and 0 elsewhere.
+    """
     spec = real.spec
-    rho = np.array([[1.0]], dtype=complex)
+    occ = basis.occupations
+    idle = np.ones(basis.dimension)
     for site in range(2, spec.length + 1):
         weights = local_thermal_weights(
             real.omegas[site - 1], real.anharmonicities[site - 1],
             noise.temperature, spec.local_dim,
         )
-        rho = np.kron(rho, np.diag(weights).astype(complex))
-    return rho
+        idle = idle * weights[occ[:, site - 1]]
+    same_rest = (occ[:, None, 1:] == occ[None, :, 1:]).all(axis=-1)
+    amp = config.coding_vector()[occ[:, 0]]
+    return np.outer(amp, amp.conj()) * (idle[:, None] * same_rest)
+
+
+def _reset_kraus(basis: FockBasis, site: int) -> list[np.ndarray]:
+    """Reset Kraus operators |0><n| at `site`, one per level n, over `basis`."""
+    kraus = []
+    for n in range(basis.local_dim):
+        src, dst = basis.transitions({site: -n})
+        keep = basis.occupations[src, site - 1] == n
+        op = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+        op[dst[keep], src[keep]] = 1.0
+        kraus.append(op)
+    return kraus
 
 
 def solve_master_dense(config: SimulationConfig, t_grid=None,
@@ -511,37 +538,39 @@ def solve_master_dense(config: SimulationConfig, t_grid=None,
     is meaningful at zero disorder. Feedback channels enter through the
     projector dissipator of randomly timed measurements; engineered
     dissipation and background noise through their standard jump operators.
+
+    The density matrix lives in the engine's excitation-number sector
+    (`_sector`). This is exact: H conserves N and every jump and reset
+    lowers it, so rho never leaves N <= N_max; at T > 0 the sector is the
+    full space. The Hamiltonian, jump operators and observables are the
+    engine's, built in that basis. The reset Kraus operators |0><n| and
+    rho0 are built here from the basis occupations, independently of the
+    engine's `measure_and_reset` and `sample_thermal_initial`, so that the
+    oracle stays a reference for them.
     """
     spec = config.lattice
-    if spec.dimension**2 > 1_000_000:
-        raise ValueError("density-matrix oracle limited to dimension^2 <= 1e6")
+    basis = _sector(config)
+    dim = basis.dimension
+    if dim**2 > 1_000_000:
+        raise ValueError("density-matrix oracle limited to sector dimension^2 <= 1e6")
     grid = np.asarray(config.time_grid if t_grid is None else t_grid, dtype=float)
     noise = config.noise or NoiseModel()
     real = realize_disorder(spec, _disorder_seed(config.master_seed, 0))
-    ham = build_bose_hubbard(real).dense()
+    ham = build_bose_hubbard(real, basis).dense()
 
-    jump_ops = [op.dense() for op in noise_jump_operators(noise, spec)]
+    jump_ops = [op.dense() for op in noise_jump_operators(noise, spec, basis)]
     projectors = []
     rate_fb = 0.0
     if config.channel is not None and config.channel.rate > 0:
         site = config.channel.site_index(spec)
         if config.channel.kind == "dissipation":
-            a_last = build_site_operator(spec, site, "annihilation").dense()
+            a_last = build_site_operator(spec, site, "annihilation", basis).dense()
             jump_ops.append(math.sqrt(config.channel.rate) * a_last)
         else:
             rate_fb = config.channel.rate
-            d, L = spec.local_dim, spec.length
-            for n in range(d):
-                local = np.zeros((d, d), dtype=complex)
-                local[0, n] = 1.0
-                proj = np.kron(
-                    np.kron(np.eye(d ** (site - 1)), local), np.eye(d ** (L - site))
-                )
-                projectors.append(proj)
+            projectors = _reset_kraus(basis, site)
 
-    coding = config.coding_vector()
-    rho0 = np.kron(np.outer(coding, coding.conj()), _gibbs_density(real, noise))
-    dim = spec.dimension
+    rho0 = _initial_density(config, real, noise, basis)
     lindblad_pairs = [(op, op.conj().T @ op) for op in jump_ops]
 
     def rhs(_t, flat):
@@ -561,7 +590,6 @@ def solve_master_dense(config: SimulationConfig, t_grid=None,
 
     rho = sol.y.T.reshape(grid.size, dim, dim)
     rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
-    basis = full_basis(spec.length, spec.local_dim)
     leak, occ = site_expectations(np.diagonal(rho, axis1=1, axis2=2).real, basis)
     return ModelSeries(time_grid=grid, leakage_total=leak.sum(axis=1), leakage_site1=leak[:, 0],
                        occupation_site1=occ[:, 0],

@@ -1,9 +1,10 @@
 """Names that code outside the package relies on.
 
 The benchmark's tracer (`lrubench/spans.py`) swaps the functions
-`lrusim.trajectory` looks up, and `numpy.linalg.eig`, for recording
-wrappers. A rename there, or an eig imported by name, breaks the traced
-benchmark run without failing any physics test.
+`lrusim.trajectory` looks up, `solve_ivp` among them, and
+`numpy.linalg.eig`, for recording wrappers. A rename there, or an eig
+imported by name, breaks the traced benchmark run without failing any
+physics test.
 """
 
 import ast
@@ -56,3 +57,23 @@ def test_ensemble_looks_up_eig_when_called(monkeypatch):
     lrusim.run_ensemble(config)
     # one batched call per chunk, in the N <= 2 sector of ket2 (6 of 9 states)
     assert shapes == [(4, 6, 6)]
+
+
+def test_oracle_looks_up_solve_ivp_when_called(monkeypatch):
+    sizes = []
+    solve_ivp = lrusim.trajectory.solve_ivp
+
+    def recording_solve_ivp(fun, t_span, y0, **kwargs):
+        sizes.append(np.size(y0))
+        return solve_ivp(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(lrusim.trajectory, "solve_ivp", recording_solve_ivp)
+    config = lrusim.SimulationConfig(
+        lattice=lrusim.LatticeSpec(4, 0.0, 10.0, 1.0),
+        channel=lrusim.ResetChannel("random_feedback", 1.0),
+        t_max=0.5, dt=0.01, n_trajectories=1,
+        noise=lrusim.NoiseModel(0.01, 0.01), observable_stride=10,
+    )
+    lrusim.solve_master_dense(config)
+    # one integration of the density over the N <= 2 sector of ket2 (15 of 81 states)
+    assert sizes == [15 * 15]

@@ -5,7 +5,8 @@ measurements at their scheduled times, so its only error is statistical.
 The oracle tests bound that error point by point against the dense master
 equation; the determinism tests pin that chunking and threading never
 change a result. The sector tests pin that running in the N <= N_max
-excitation sector gives what the same engine gives in the full space.
+excitation sector gives what the same engine, or the same oracle, gives
+in the full space.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 import lrusim.trajectory
 from lrusim import (
+    FockBasis,
     LatticeSpec,
     NoiseModel,
     ResetChannel,
@@ -21,8 +23,10 @@ from lrusim import (
     run_trajectory,
     solve_master_dense,
 )
+from lrusim.channels import local_thermal_weights
+from lrusim.lattice import full_basis, realize_disorder
 from lrusim.propagator import EXACT_DIM_LIMIT
-from lrusim.trajectory import _chunk_size
+from lrusim.trajectory import _chunk_size, _initial_density, _reset_kraus
 
 #: Largest |z| allowed at any grid point. At 256 trajectories, seeds 0-5
 #: read 1.3-2.6 over 3 series x 51 points for either channel.
@@ -32,10 +36,10 @@ ORACLE_SERIES = ("leakage_total", "leakage_site1", "occupation_site1")
 
 
 def chain_config(kind, rate, n_trajectories, t_max, dt, stride, noise, seed=0,
-                 coding="ket2", length=3, disorder=0.0):
+                 coding="ket2", length=3, disorder=0.0, site=None):
     return SimulationConfig(
         lattice=LatticeSpec(length, 0.0, 10.0, 1.0, disorder),
-        channel=ResetChannel(kind, rate),
+        channel=ResetChannel(kind, rate, site),
         t_max=t_max,
         dt=dt,
         n_trajectories=n_trajectories,
@@ -161,3 +165,80 @@ class TestSector:
         assert lrusim.trajectory._sector(config).dimension > EXACT_DIM_LIMIT
         with pytest.raises(ValueError):
             run_ensemble(config)
+
+
+class TestOracleSector:
+    @pytest.mark.parametrize("length", [3, 4])
+    @pytest.mark.parametrize("coding", ["ket2", "plus"])
+    @pytest.mark.parametrize("kind", ["dissipation", "periodic_feedback", "random_feedback"])
+    def test_sector_matches_full_space(self, monkeypatch, kind, coding, length):
+        # the reset sits on site 2, next to the coding site, so resets act
+        # within t_max; one that leaves an excitation on site 1 changes the
+        # series, one that empties the chain does not (see the next test)
+        config = chain_config(kind, 2.0, 1, 2.0, 0.05, 4, NoiseModel(0.1, 0.1), seed=5,
+                              coding=coding, length=length, disorder=2.0, site=2)
+        sector = solve_master_dense(config)
+        monkeypatch.setattr(lrusim.trajectory, "_max_excitations", full_space)
+        full = solve_master_dense(config)
+        for name, value in vars(sector).items():
+            assert np.max(np.abs(value - getattr(full, name))) < 1e-8, name
+
+    @pytest.mark.parametrize("n_max", [1, 2, None])
+    def test_reset_kraus_operators_are_complete(self, n_max):
+        # resetting the top level empties the chain into the vacuum, which no
+        # oracle series sees, so completeness is checked here directly
+        basis = FockBasis(4, 3, n_max)
+        for site in (1, 4):
+            kraus = _reset_kraus(basis, site)
+            assert len(kraus) == 3
+            assert np.array_equal(sum(k.conj().T @ k for k in kraus), np.eye(basis.dimension))
+            for n, op in enumerate(kraus):
+                dst, src = np.nonzero(op)
+                assert np.all(basis.occupations[src, site - 1] == n)
+                emptied = basis.occupations[src].copy()
+                emptied[:, site - 1] = 0
+                assert np.array_equal(basis.occupations[dst], emptied)
+
+    def test_initial_density_is_coding_times_gibbs(self):
+        # a hot chain at a realistic frequency, so every idle level is populated
+        config = SimulationConfig(
+            lattice=LatticeSpec(3, 47000.0, 1570.0, 50.0, 300.0),
+            channel=None, t_max=1.0, dt=0.1, n_trajectories=1,
+            noise=NoiseModel(temperature=0.25), initial_coding_state="plus",
+        )
+        spec = config.lattice
+        real = realize_disorder(spec, 9)
+        coding = config.coding_vector()
+        expected = np.outer(coding, coding.conj())
+        for site in (2, 3):
+            weights = local_thermal_weights(real.omegas[site - 1],
+                                            real.anharmonicities[site - 1], 0.25)
+            assert weights.min() > 1e-3
+            expected = np.kron(expected, np.diag(weights))
+        rho0 = _initial_density(config, real, config.noise, full_basis(3))
+        assert np.max(np.abs(rho0 - expected)) < 1e-15
+        # at T = 0 the N <= 1 sector holds all of the plus state
+        sector = FockBasis(3, 3, 1)
+        rho0 = _initial_density(config, real, NoiseModel(), sector)
+        cold = np.kron(np.outer(coding, coding.conj()), np.diag([1.0] + [0.0] * 8))
+        full_rows = sector.occupations @ [9, 3, 1]
+        assert np.array_equal(rho0, cold[np.ix_(full_rows, full_rows)])
+
+    def test_long_chain_oracle_runs_in_its_sector(self):
+        # 3**8 states would give 4.3e7 density entries; the ket2 sector has 45 states
+        config = chain_config("dissipation", 2.0, 1, 0.5, 0.05, 2, NoiseModel(0.01, 0.01),
+                              length=8)
+        assert lrusim.trajectory._sector(config).dimension == 45
+        series = solve_master_dense(config)
+        assert series.leakage_total[0] == pytest.approx(1.0, abs=1e-12)
+        for name in ORACLE_SERIES:
+            assert np.all(np.isfinite(getattr(series, name))), name
+
+    @pytest.mark.parametrize("length", [7, 8])
+    def test_oracle_above_size_bound_raises(self, length):
+        # at T > 0 the sector is the full space: 3**7 = 2187 states are above
+        # the oracle's bound, 3**8 = 6561 above the operator budget as well
+        config = chain_config("dissipation", 1.0, 1, 1.0, 0.1, 1,
+                              NoiseModel(0.01, 0.01, 0.05), length=length)
+        with pytest.raises(ValueError):
+            solve_master_dense(config)
