@@ -20,9 +20,9 @@ from .lattice import (
     DisorderRealization,
     FockBasis,
     LatticeSpec,
-    OperatorMatrix,
-    build_site_operator,
+    Monomial,
     full_basis,
+    site_monomial,
 )
 from .propagator import StateVector
 from .units import thermal_exponent
@@ -173,29 +173,49 @@ def apply_feedback_measurement(psi: StateVector, basis: FockBasis, site: int,
 
 
 def noise_jump_operators(model: NoiseModel, spec: LatticeSpec,
-                         basis: FockBasis | None = None) -> list[OperatorMatrix]:
+                         basis: FockBasis | None = None) -> list[Monomial]:
     """Per-site Lindblad jump operators for relaxation and dephasing, in `basis`.
 
     Relaxation: sqrt(gamma) a_l. Dephasing: sqrt(2 kappa) n_l -- the factor
     of two comes from mapping qubit sigma_z dephasing onto the transmon
-    number operator. Returns 2L operators when both rates are positive.
-    The default basis is the full space.
+    number operator. Returns 2L operators when both rates are positive,
+    relaxation first, each in its Monomial form. The default basis is the
+    full space.
     """
-    ops: list[OperatorMatrix] = []
-    if model.relaxation_rate > 0:
-        root = math.sqrt(model.relaxation_rate)
-        for site in range(1, spec.length + 1):
-            op = build_site_operator(spec, site, "annihilation", basis)
-            op.data = op.data * root
-            ops.append(op)
-    if model.dephasing_rate > 0:
-        root = math.sqrt(2.0 * model.dephasing_rate)
-        for site in range(1, spec.length + 1):
-            op = build_site_operator(spec, site, "number", basis)
-            op.data = op.data * root
-            op.hermitian = True
-            ops.append(op)
+    basis = full_basis(spec.length, spec.local_dim) if basis is None else basis
+    basis.check(spec)
+    ops: list[Monomial] = []
+    for kind, rate in (("annihilation", model.relaxation_rate),
+                       ("number", 2.0 * model.dephasing_rate)):
+        if rate > 0:
+            ops += [_with_rate(site_monomial(basis, site, kind), rate)
+                    for site in range(1, spec.length + 1)]
     return ops
+
+
+def dissipation_jump_operators(channel: ResetChannel | None, spec: LatticeSpec,
+                               basis: FockBasis) -> list[Monomial]:
+    """The engineered-dissipation jump sqrt(Gamma) a_site, if `channel` is one with Gamma > 0."""
+    if channel is None or channel.kind != "dissipation" or channel.rate == 0:
+        return []
+    return [_with_rate(site_monomial(basis, channel.site_index(spec), "annihilation"),
+                    channel.rate)]
+
+
+def _with_rate(op: Monomial, rate: float) -> Monomial:
+    return op._replace(amp=math.sqrt(rate) * op.amp)
+
+
+def decay_rates(jumps: list[Monomial], dimension: int) -> np.ndarray:
+    """diag(sum_k L_k^dag L_k): each |amp|^2 accumulated at its source row.
+
+    The no-jump Hamiltonian is H - (i/2) diag(decay_rates).
+    """
+    if not jumps:
+        return np.zeros(dimension)
+    return np.bincount(np.concatenate([op.src for op in jumps]),
+                       weights=np.concatenate([np.abs(op.amp) ** 2 for op in jumps]),
+                       minlength=dimension)
 
 
 def local_thermal_weights(omega: float, anharmonicity: float, temperature: float,
@@ -203,6 +223,8 @@ def local_thermal_weights(omega: float, anharmonicity: float, temperature: float
     """Boltzmann weights of the local levels n = 0..d-1, renormalized.
 
     Level energies are omega*n - (U/2) n (n-1), the J = 0 on-site spectrum.
+    At T > 0 they must increase with n (omega > 0 and omega - U > 0 for a
+    qutrit), as lab-frame energies do; otherwise ValueError.
     """
     n = np.arange(d, dtype=float)
     energies = omega * n - 0.5 * anharmonicity * n * (n - 1.0)
@@ -210,6 +232,11 @@ def local_thermal_weights(omega: float, anharmonicity: float, temperature: float
         weights = np.zeros(d)
         weights[0] = 1.0
         return weights
+    if np.any(np.diff(energies) <= 0):
+        # a rotating frame (omega = 0) would make every level about equally likely
+        raise ValueError(
+            f"thermal weights need increasing (lab-frame) level energies, got {energies.tolist()}"
+        )
     exponents = np.array([thermal_exponent(e, temperature) for e in energies])
     exponents -= exponents.min()
     weights = np.exp(-exponents)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,28 +257,51 @@ def _basis_for(spec: LatticeSpec, basis: FockBasis | None) -> FockBasis:
     return basis
 
 
-def build_site_operator(spec: LatticeSpec, site: int, kind: str,
-                        basis: FockBasis | None = None) -> OperatorMatrix:
-    """Local operator at `site` (1-based) in `basis`, by default the full space.
+class Monomial(NamedTuple):
+    """Operator sum_k amp_k |dst_k><src_k| over the rows of a FockBasis.
+
+    Every operator of the model that is not the Hamiltonian maps each Fock
+    state to at most one Fock state and no two states to the same one: the
+    entries of `src` are distinct, and so are those of `dst`. Its L^dag L is
+    therefore diagonal, with |amp_k|^2 at row src_k.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    amp: np.ndarray
+
+
+def site_monomial(basis: FockBasis, site: int, kind: str) -> Monomial:
+    """Local operator at `site` (1-based) as a Monomial over `basis`.
 
     Matrix elements are read off the basis occupations. A creation
     operator drops the states it would raise out of a sector.
     """
-    if not 1 <= site <= spec.length:
-        raise ValueError(f"site {site} outside 1..{spec.length}")
+    if not 1 <= site <= basis.length:
+        raise ValueError(f"site {site} outside 1..{basis.length}")
     if kind not in SITE_OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    basis = _basis_for(spec, basis)
     n = basis.occupations[:, site - 1].astype(float)
     if kind in ("number", "leakage_number"):
         diag = n if kind == "number" else n * (n - 1.0) / 2.0
-        rows = np.arange(basis.dimension)
-        return _chain_operator(spec, basis, rows, rows, diag, hermitian=True)
+        rows = np.flatnonzero(diag)
+        return Monomial(rows, rows, diag[rows])
     # <n-1|a|n> = sqrt(n) and <n+1|a^dag|n> = sqrt(n+1)
     lowering = kind == "annihilation"
     src, dst = basis.transitions({site: -1 if lowering else +1})
-    values = np.sqrt(n[src] if lowering else n[src] + 1.0)
-    return _chain_operator(spec, basis, dst, src, values, hermitian=False)
+    return Monomial(src, dst, np.sqrt(n[src] if lowering else n[src] + 1.0))
+
+
+def build_site_operator(spec: LatticeSpec, site: int, kind: str,
+                        basis: FockBasis | None = None) -> OperatorMatrix:
+    """Local operator at `site` (1-based) in `basis`, by default the full space.
+
+    The dense form of `site_monomial`.
+    """
+    basis = _basis_for(spec, basis)
+    op = site_monomial(basis, site, kind)
+    return _chain_operator(spec, basis, op.dst, op.src, op.amp,
+                           hermitian=kind in ("number", "leakage_number"))
 
 
 def total_number_operator(spec: LatticeSpec) -> OperatorMatrix:

@@ -13,17 +13,29 @@ never leaves the N <= N_0 subspace of its initial state. N_max is the
 largest N an initial state of the configuration can have: the top level in
 the coding state's support at zero temperature, the full space otherwise.
 
-The dense master-equation oracle integrates its density matrix in the same
-sector, with the engine's Hamiltonian, jump operators and observables. Its
-reset Kraus operators |0><n| and its initial density are its own, built
-from the basis occupations, so that it remains an independent reference
-for the engine's measure-and-reset and initial-state sampling.
+Every jump operator -- relaxation sqrt(gamma) a_l, dephasing sqrt(2 kappa)
+n_l, dissipation sqrt(Gamma) a_L, and the oracle's resets |0><n| -- maps
+each Fock state to at most one Fock state, so it is kept as a
+`lattice.Monomial` of (src, dst, amp) entries and every L^dag L is
+diagonal: the no-jump Hamiltonian is H - (i/2) diag(d) with one decay
+vector d (`channels.decay_rates`).
 
 The integrator is event-driven: between feedback measurements and
 observable grid points the state advances with the cached exact
-eigendecomposition of the (generally non-Hermitian) no-jump Hamiltonian,
-and quantum jumps are located by the norm-threshold (waiting-time) rule,
-which is step-size free.
+eigendecomposition of the (generally non-Hermitian) no-jump Hamiltonian.
+Quantum jumps follow the waiting-time rule (Dalibard, Castin and Molmer,
+PRL 68, 580 (1992)): a trajectory jumps when its no-jump norm falls to a
+uniform threshold. The crossing time is solved by a bracketed Newton
+iteration on the log of the norm, whose derivative -<psi|diag(d)|psi> is
+exact (`_jump_time`); the jump channel is then drawn from the weights
+||L_k psi||^2 and applied as one scatter, both O(dim).
+
+The master-equation oracle integrates its density matrix in the same
+sector, with the engine's Hamiltonian, jump operators and observables, as
+one sparse Lindbladian. Its reset Kraus operators |0><n| and its initial
+density are its own, built from the basis occupations, so that it remains
+an independent reference for the engine's measure-and-reset and
+initial-state sampling.
 """
 
 from __future__ import annotations
@@ -33,12 +45,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .channels import (
     NoiseModel,
     ResetChannel,
     StepTooLargeError,
+    decay_rates,
+    dissipation_jump_operators,
     local_thermal_weights,
     measure_and_reset,
     noise_jump_operators,
@@ -48,8 +63,9 @@ from .lattice import (
     DisorderRealization,
     FockBasis,
     LatticeSpec,
+    Monomial,
     build_bose_hubbard,
-    build_site_operator,
+    build_site_operator,  # noqa: F401 -- unused here, bound for the benchmark's tracer
     realize_disorder,
 )
 from .observables import density_site1_coherence, site_expectations, state_site1_coherence
@@ -70,6 +86,12 @@ CODING_STATES = {
 }
 
 _TIME_EPS = 1e-9
+
+#: The jump-time solve stops once |log(||psi||^2 / threshold)| is this small,
+#: or when its bracket is down to adjacent floats, or after this many norm
+#: evaluations (bisection of a 40-unit span to float resolution takes ~57).
+_LOG_NORM_TOL = 1e-14
+_JUMP_TIME_EVALUATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -201,12 +223,18 @@ class _ChunkEngine:
     # -- setup ------------------------------------------------------------
 
     def _build_jump_operators(self):
-        ops = [op.dense() for op in noise_jump_operators(self.noise, self.spec, self.basis)]
-        if self.channel is not None and self.channel.kind == "dissipation" and self.channel.rate > 0:
-            a_last = build_site_operator(self.spec, self.site, "annihilation", self.basis).dense()
-            ops.append(math.sqrt(self.channel.rate) * a_last)
-        self.jump_ops = ops
-        self.has_jumps = bool(ops)
+        jumps = noise_jump_operators(self.noise, self.spec, self.basis)
+        jumps += dissipation_jump_operators(self.channel, self.spec, self.basis)
+        self.has_jumps = bool(jumps)
+        self.n_jumps = len(jumps)
+        self.decay = decay_rates(jumps, self.dim)
+        if jumps:
+            # every operator's entries in one Monomial; operator k owns the
+            # entries bounds[k]:bounds[k + 1]
+            sizes = [op.src.size for op in jumps]
+            self.jump_entries = Monomial(*(np.concatenate(part) for part in zip(*jumps)))
+            self.jump_owner = np.repeat(np.arange(len(jumps)), sizes)
+            self.jump_bounds = np.cumsum([0, *sizes])
 
     def _build_states_and_hamiltonians(self):
         cfg, spec = self.config, self.spec
@@ -222,11 +250,9 @@ class _ChunkEngine:
             psi[row] = sample_thermal_initial(real, self.noise, coding, rng_th,
                                               self.basis).amplitudes
 
-        if self.jump_ops:
-            for op in self.jump_ops:
-                ldl = op.conj().T @ op
-                hams -= 0.5j * ldl[None, :, :]
-        self.evals, self.vecs, self.vinv = eigensystem(hams, hermitian=not self.jump_ops)
+        diagonal = np.arange(dim)
+        hams[:, diagonal, diagonal] -= 0.5j * self.decay
+        self.evals, self.vecs, self.vinv = eigensystem(hams, hermitian=not self.has_jumps)
         self.psi = psi
         self.t_cur = np.zeros(B)
 
@@ -302,33 +328,22 @@ class _ChunkEngine:
         """Waiting-time jump resolution for one trajectory on [t_from, t_to]."""
         rng = self.jump_rngs[row]
         vecs, vinv, evals = self.vecs[row], self.vinv[row], self.evals[row]
+        entries = self.jump_entries
         psi0 = anchor
         while True:
-            c0 = vinv @ psi0
+            coeffs = vinv @ psi0
             span = t_to - t_from
-
-            def norm_at(tau):
-                amp = evolve(vecs, evals, c0, tau)
-                return float(np.vdot(amp, amp).real), amp
-
-            n_end, amp_end = norm_at(span)
+            amp_end = evolve(vecs, evals, coeffs, span)
+            n_end = float(np.vdot(amp_end, amp_end).real)
             if n_end >= self.thresholds[row]:
                 self.psi[row] = amp_end
                 self.t_cur[row] = t_to
                 return
-            lo, hi = 0.0, span
-            for _ in range(90):
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break  # the bracket is down to adjacent floats
-                n_mid, _ = norm_at(mid)
-                if n_mid < self.thresholds[row]:
-                    hi = mid
-                else:
-                    lo = mid
-            t_star = 0.5 * (lo + hi)
-            _, amp_star = norm_at(t_star)
-            weights = np.array([np.linalg.norm(op @ amp_star) ** 2 for op in self.jump_ops])
+            t_star, amp_star = _jump_time(vecs, evals, coeffs, self.decay, self.thresholds[row],
+                                          span, float(np.vdot(psi0, psi0).real), n_end)
+            flows = entries.amp * amp_star[entries.src]
+            weights = np.bincount(self.jump_owner, weights=flows.real**2 + flows.imag**2,
+                                  minlength=self.n_jumps)
             total = weights.sum()
             if total <= 0:
                 # norm loss without any open jump channel cannot happen for
@@ -337,8 +352,10 @@ class _ChunkEngine:
                 self.t_cur[row] = t_to
                 return
             pick = int(np.searchsorted(np.cumsum(weights / total), rng.random(), side="right"))
-            pick = min(pick, len(self.jump_ops) - 1)
-            jumped = self.jump_ops[pick] @ amp_star
+            pick = min(pick, self.n_jumps - 1)
+            own = slice(self.jump_bounds[pick], self.jump_bounds[pick + 1])
+            jumped = np.zeros_like(amp_star)
+            jumped[entries.dst[own]] = flows[own]
             psi0 = jumped / np.linalg.norm(jumped)
             self.thresholds[row] = rng.random()
             t_from = t_from + t_star
@@ -394,6 +411,41 @@ class _ChunkEngine:
         out["occupation_site1"][:, g] = occ[:, 0]
         out["envelope"][:, g] = 2.0 * np.abs(c)
         coh[:, g] = c
+
+
+def _jump_time(vecs, evals, coeffs, decay, threshold: float, span: float,
+               n_start: float, n_end: float) -> tuple[float, np.ndarray]:
+    """When the no-jump norm falls to `threshold` within [0, span], and the state then.
+
+    The state is V exp(-i lambda tau) coeffs (see `propagator.evolve`), under
+    H_eff = H - (i/2) diag(decay); its squared norm falls from n_start >=
+    threshold at tau = 0 to n_end < threshold at tau = span, with the exact
+    derivative d||psi||^2/dtau = -<psi|diag(decay)|psi>. Newton's method on
+    g(tau) = log(||psi||^2 / threshold) starts from the log-linear
+    interpolation of the two ends, keeps a bracket of the root, and bisects
+    it whenever a step would leave it.
+    """
+    tiny = np.finfo(float).tiny
+    g_lo = max(math.log(n_start / threshold), 0.0)
+    g_hi = math.log(max(n_end, tiny) / threshold)
+    lo, hi = 0.0, span
+    guess = span * g_lo / (g_lo - g_hi)
+    for _ in range(_JUMP_TIME_EVALUATIONS):
+        tau = guess if lo < guess < hi else 0.5 * (lo + hi)
+        amp = evolve(vecs, evals, coeffs, tau)
+        pops = amp.real**2 + amp.imag**2
+        norm = max(float(pops.sum()), tiny)
+        g = math.log(norm / threshold)
+        if abs(g) <= _LOG_NORM_TOL or tau in (lo, hi):
+            break
+        if g > 0:
+            lo = tau
+        else:
+            hi = tau
+        # g'(tau) = -rate, so the Newton step is g / rate
+        rate = float(pops @ decay) / norm
+        guess = tau + g / rate if rate > 0 else math.nan
+    return tau, amp
 
 
 # ---------------------------------------------------------------------------
@@ -516,16 +568,33 @@ def _initial_density(config: SimulationConfig, real: DisorderRealization,
     return np.outer(amp, amp.conj()) * (idle[:, None] * same_rest)
 
 
-def _reset_kraus(basis: FockBasis, site: int) -> list[np.ndarray]:
+def _reset_kraus(basis: FockBasis, site: int) -> list[Monomial]:
     """Reset Kraus operators |0><n| at `site`, one per level n, over `basis`."""
     kraus = []
     for n in range(basis.local_dim):
         src, dst = basis.transitions({site: -n})
         keep = basis.occupations[src, site - 1] == n
-        op = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-        op[dst[keep], src[keep]] = 1.0
-        kraus.append(op)
+        kraus.append(Monomial(src[keep], dst[keep], np.ones(np.count_nonzero(keep))))
     return kraus
+
+
+def _lindbladian(ham: np.ndarray, jumps: list[Monomial]) -> sparse.csr_matrix:
+    """Generator of d vec(rho)/dt for vec(rho)[i * dim + j] = rho[i, j], in CSR form.
+
+    -i (H_eff rho - rho H_eff^dag) + sum_k L_k rho L_k^dag with H_eff = H -
+    (i/2) diag(decay_rates); each monomial L_k puts amp_a amp_b^* rho[src_a,
+    src_b] on entry [dst_a, dst_b].
+    """
+    dim = ham.shape[0]
+    h_eff = sparse.csr_matrix(ham - 0.5j * np.diag(decay_rates(jumps, dim)))
+    eye = sparse.identity(dim, format="csr")
+    gen = -1j * (sparse.kron(h_eff, eye) - sparse.kron(eye, h_eff.conj()))
+    for op in jumps:
+        entries = np.outer(op.amp, op.amp.conj()).ravel()
+        rows = np.add.outer(op.dst * dim, op.dst).ravel()
+        cols = np.add.outer(op.src * dim, op.src).ravel()
+        gen = gen + sparse.coo_matrix((entries, (rows, cols)), shape=gen.shape)
+    return gen.tocsr()
 
 
 def solve_master_dense(config: SimulationConfig, t_grid=None,
@@ -547,6 +616,10 @@ def solve_master_dense(config: SimulationConfig, t_grid=None,
     rho0 are built here from the basis occupations, independently of the
     engine's `measure_and_reset` and `sample_thermal_initial`, so that the
     oracle stays a reference for them.
+
+    Every jump and Kraus operator is a `Monomial`, so the whole right-hand
+    side is one sparse Lindbladian (`_lindbladian`) over the dim^2 entries
+    of rho, built once; the integrator only multiplies by it.
     """
     spec = config.lattice
     basis = _sector(config)
@@ -558,30 +631,19 @@ def solve_master_dense(config: SimulationConfig, t_grid=None,
     real = realize_disorder(spec, _disorder_seed(config.master_seed, 0))
     ham = build_bose_hubbard(real, basis).dense()
 
-    jump_ops = [op.dense() for op in noise_jump_operators(noise, spec, basis)]
-    projectors = []
-    rate_fb = 0.0
-    if config.channel is not None and config.channel.rate > 0:
-        site = config.channel.site_index(spec)
-        if config.channel.kind == "dissipation":
-            a_last = build_site_operator(spec, site, "annihilation", basis).dense()
-            jump_ops.append(math.sqrt(config.channel.rate) * a_last)
-        else:
-            rate_fb = config.channel.rate
-            projectors = _reset_kraus(basis, site)
-
+    jumps = noise_jump_operators(noise, spec, basis)
+    jumps += dissipation_jump_operators(config.channel, spec, basis)
+    if config.channel is not None and config.channel.is_feedback and config.channel.rate > 0:
+        # measurements at rate Gamma: Gamma (sum_n K_n rho K_n^dag - rho), and
+        # the Kraus set is complete, so these are jumps sqrt(Gamma) K_n
+        root = math.sqrt(config.channel.rate)
+        jumps += [k._replace(amp=root * k.amp)
+                  for k in _reset_kraus(basis, config.channel.site_index(spec))]
+    lindbladian = _lindbladian(ham, jumps)
     rho0 = _initial_density(config, real, noise, basis)
-    lindblad_pairs = [(op, op.conj().T @ op) for op in jump_ops]
 
     def rhs(_t, flat):
-        rho = flat.reshape(dim, dim)
-        drho = -1j * (ham @ rho - rho @ ham)
-        for op, ldl in lindblad_pairs:
-            drho += op @ rho @ op.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
-        if rate_fb > 0:
-            kick = sum(p @ rho @ p.conj().T for p in projectors)
-            drho += rate_fb * (kick - rho)
-        return drho.ravel()
+        return lindbladian @ flat
 
     sol = solve_ivp(rhs, (grid[0], grid[-1]), rho0.ravel(), t_eval=grid,
                     method="DOP853", rtol=rtol, atol=atol)

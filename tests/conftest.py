@@ -59,6 +59,35 @@ def evolve_nonhermitian_oracle(ham: np.ndarray, psi0: np.ndarray, t: float) -> n
     return vecs @ (np.exp(-1j * evals * t) * coeff)
 
 
+def densify(op, dimension: int) -> np.ndarray:
+    """Dense matrix of a monomial operator (src, dst, amp): sum_k amp_k |dst_k><src_k|."""
+    src, dst, amp = op
+    matrix = np.zeros((dimension, dimension), dtype=complex)
+    np.add.at(matrix, (dst, src), amp)
+    return matrix
+
+
+def reset_kraus_oracle(occupations, site: int, d: int = 3) -> list[np.ndarray]:
+    """Dense |0><n| at `site` for each level n, by looking up every emptied state."""
+    index = {tuple(row): i for i, row in enumerate(occupations.tolist())}
+    dim = len(occupations)
+    kraus = [np.zeros((dim, dim)) for _ in range(d)]
+    for i, row in enumerate(occupations.tolist()):
+        emptied = list(row)
+        emptied[site - 1] = 0
+        kraus[row[site - 1]][index[tuple(emptied)], i] = 1.0
+    return kraus
+
+
+def dense_lindblad_rhs(ham: np.ndarray, jumps, rho: np.ndarray) -> np.ndarray:
+    """-i [H, rho] + sum_k (L_k rho L_k^dag - {L_k^dag L_k, rho} / 2), all dense."""
+    drho = -1j * (ham @ rho - rho @ ham)
+    for op in jumps:
+        ldl = op.conj().T @ op
+        drho += op @ rho @ op.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
+    return drho
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -20,6 +20,7 @@ from lrusim.lattice import FockBasis, LatticeSpec, build_site_operator, realize_
 from lrusim.propagator import StateVector
 from lrusim.trajectory import SimulationConfig, run_ensemble, run_trajectory
 
+from conftest import densify
 from test_trajectory import Z_BOUND, max_z
 
 
@@ -155,14 +156,14 @@ class TestNoiseOperators:
         spec = LatticeSpec(1, 1.0, 1.0, 0.0)
         ops = noise_jump_operators(NoiseModel(dephasing_rate=kappa), spec)
         assert len(ops) == 1
-        element = ops[0].dense()[1, 1]
+        element = densify(ops[0], 3)[1, 1]
         assert abs(element) ** 2 == pytest.approx(2 * kappa, rel=1e-12)
 
     def test_probability_budget_first_order(self, rng):
         # sum dp_k + ||no-jump branch||^2 = 1 within O(dt^2)
         spec = LatticeSpec(2, 1.0, 1.0, 0.1)
         ops = noise_jump_operators(NoiseModel(relaxation_rate=0.3, dephasing_rate=0.2), spec)
-        dense_ops = [o.dense() for o in ops]
+        dense_ops = [densify(o, 9) for o in ops]
         decay = sum(o.conj().T @ o for o in dense_ops)
         evals, vecs = np.linalg.eigh(decay)
         for dt in (0.01, 0.003):

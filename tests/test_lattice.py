@@ -19,7 +19,7 @@ from lrusim.lattice import (
 )
 from lrusim.units import TWO_PI, angular_from_mhz
 
-from conftest import dense_bose_hubbard_oracle, evolve_dense_oracle, fock_states
+from conftest import densify, dense_bose_hubbard_oracle, evolve_dense_oracle, fock_states
 
 
 FIG1 = dict(length=3, f_mhz=7500.0, u_mhz=250.0, j_mhz=5.0, w_mhz=100.0)
@@ -299,11 +299,22 @@ class TestStorage:
             build_effective_propagation(real),
             build_effective_nonhermitian(ham, 3, 0.5, "dissipation"),
             build_effective_nonhermitian(ham, 3, 0.5, "random_feedback"),
-            *noise_jump_operators(NoiseModel(0.1, 0.1), spec, sector),
         ]
         for op in ops:
             assert isinstance(op.data, np.ndarray)
             assert op.data.shape == (op.dimension, op.dimension)
+        # jump operators are monomials; densified, they are the sector's
+        # sqrt(gamma) a_l and sqrt(2 kappa) n_l
+        jumps = noise_jump_operators(NoiseModel(0.1, 0.1), spec, sector)
+        expected = [np.sqrt(rate) * build_site_operator(spec, site, kind, sector).data
+                    for kind, rate in (("annihilation", 0.1), ("number", 0.2))
+                    for site in (1, 2, 3)]
+        assert len(jumps) == len(expected)
+        for op, dense in zip(jumps, expected):
+            matrix = densify(op, sector.dimension)
+            assert isinstance(matrix, np.ndarray)
+            assert matrix.shape == (sector.dimension, sector.dimension)
+            assert np.array_equal(matrix, dense)
 
     def test_over_budget_raises_before_allocating(self):
         # 3**8 = 6561 states: a dense complex Hamiltonian would take 657 MiB

@@ -2,12 +2,16 @@
 
 `run_ensemble` locates jumps by the waiting-time rule and applies feedback
 measurements at their scheduled times, so its only error is statistical.
-The oracle tests bound that error point by point against the dense master
-equation; the determinism tests pin that chunking and threading never
+The oracle tests bound that error point by point against the master
+equation, whose sparse generator is checked against a dense Lindblad
+right-hand side and whose decay rates are checked against the paper's
+closed forms; the determinism tests pin that chunking and threading never
 change a result. The sector tests pin that running in the N <= N_max
 excitation sector gives what the same engine, or the same oracle, gives
 in the full space.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -23,10 +27,31 @@ from lrusim import (
     run_trajectory,
     solve_master_dense,
 )
-from lrusim.channels import local_thermal_weights
-from lrusim.lattice import full_basis, realize_disorder
-from lrusim.propagator import EXACT_DIM_LIMIT
-from lrusim.trajectory import _chunk_size, _initial_density, _reset_kraus
+from lrusim.analytics import diss_rate_high, fb_leakage_rate_high
+from lrusim.channels import (
+    decay_rates,
+    dissipation_jump_operators,
+    local_thermal_weights,
+    noise_jump_operators,
+)
+from lrusim.lattice import build_bose_hubbard, build_site_operator, full_basis, realize_disorder
+from lrusim.observables import fit_exponential
+from lrusim.propagator import EXACT_DIM_LIMIT, eigensystem, evolve
+from lrusim.trajectory import (
+    _chunk_size,
+    _disorder_seed,
+    _initial_density,
+    _jump_time,
+    _reset_kraus,
+)
+
+from conftest import (
+    densify,
+    dense_bose_hubbard_oracle,
+    dense_lindblad_rhs,
+    evolve_nonhermitian_oracle,
+    reset_kraus_oracle,
+)
 
 #: Largest |z| allowed at any grid point. At 256 trajectories, seeds 0-5
 #: read 1.3-2.6 over 3 series x 51 points for either channel.
@@ -47,6 +72,15 @@ def chain_config(kind, rate, n_trajectories, t_max, dt, stride, noise, seed=0,
         initial_coding_state=coding,
         master_seed=seed,
         observable_stride=stride,
+    )
+
+
+def hot_config(length):
+    """A T > 0 chain with lab-frame level energies (about 7.5 GHz, U = 250 MHz)."""
+    return SimulationConfig(
+        lattice=LatticeSpec(length, 47000.0, 1570.0, 50.0),
+        channel=ResetChannel("dissipation", 1.0),
+        t_max=1.0, dt=0.1, n_trajectories=4, noise=NoiseModel(0.01, 0.01, 0.05),
     )
 
 
@@ -121,8 +155,7 @@ class TestSector:
         for coding, n_max in (("ket0", 0), ("ket1", 1), ("ket2", 2), ("plus", 1)):
             config = chain_config("dissipation", 1.0, 4, 1.0, 0.1, 1, noise, coding=coding)
             assert lrusim.trajectory._max_excitations(config) == n_max
-        hot = chain_config("dissipation", 1.0, 4, 1.0, 0.1, 1, NoiseModel(0.01, 0.01, 0.05))
-        assert lrusim.trajectory._max_excitations(hot) == 6
+        assert lrusim.trajectory._max_excitations(hot_config(3)) == 6
 
     @pytest.mark.parametrize("length", [3, 4])
     @pytest.mark.parametrize("coding", ["ket2", "plus"])
@@ -160,10 +193,9 @@ class TestSector:
 
     def test_sector_above_exact_limit_raises(self):
         # at T > 0 the sector is the full space: 3**7 = 2187 states
-        config = chain_config("dissipation", 1.0, 4, 1.0, 0.1, 1,
-                              NoiseModel(0.01, 0.01, 0.05), length=7)
+        config = hot_config(7)
         assert lrusim.trajectory._sector(config).dimension > EXACT_DIM_LIMIT
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sectors of up to"):
             run_ensemble(config)
 
 
@@ -189,8 +221,10 @@ class TestOracleSector:
         # oracle series sees, so completeness is checked here directly
         basis = FockBasis(4, 3, n_max)
         for site in (1, 4):
-            kraus = _reset_kraus(basis, site)
+            kraus = [densify(k, basis.dimension) for k in _reset_kraus(basis, site)]
             assert len(kraus) == 3
+            for op, reference in zip(kraus, reset_kraus_oracle(basis.occupations, site)):
+                assert np.array_equal(op, reference)
             assert np.array_equal(sum(k.conj().T @ k for k in kraus), np.eye(basis.dimension))
             for n, op in enumerate(kraus):
                 dst, src = np.nonzero(op)
@@ -238,7 +272,136 @@ class TestOracleSector:
     def test_oracle_above_size_bound_raises(self, length):
         # at T > 0 the sector is the full space: 3**7 = 2187 states are above
         # the oracle's bound, 3**8 = 6561 above the operator budget as well
-        config = chain_config("dissipation", 1.0, 1, 1.0, 0.1, 1,
-                              NoiseModel(0.01, 0.01, 0.05), length=length)
-        with pytest.raises(ValueError):
+        message = {7: "oracle limited", 8: "exceeds budget"}[length]
+        with pytest.raises(ValueError, match=message):
+            solve_master_dense(hot_config(length))
+
+
+
+class TestTemperature:
+    def test_rotating_frame_temperature_raises(self):
+        # mean frequency 0 would make every idle level about equally likely at T > 0
+        config = chain_config("dissipation", 1.0, 4, 1.0, 0.1, 1,
+                              NoiseModel(0.01, 0.01, 0.05), length=2)
+        with pytest.raises(ValueError, match="increasing"):
+            run_ensemble(config)
+        with pytest.raises(ValueError, match="increasing"):
             solve_master_dense(config)
+
+
+class TestLindbladian:
+    @pytest.mark.parametrize("coding", ["ket2", "plus"])
+    @pytest.mark.parametrize("kind", ["dissipation", "periodic_feedback", "random_feedback"])
+    def test_generator_matches_dense_rhs(self, monkeypatch, rng, kind, coding):
+        # the right-hand side the oracle hands to solve_ivp, against one
+        # written from dense operators: the enumerated Hamiltonian, the site
+        # operators and |0><n| read off the occupations
+        config = chain_config(kind, 2.0, 1, 0.1, 0.05, 1, NoiseModel(0.1, 0.2), seed=5,
+                              coding=coding, disorder=2.0)
+        functions = []
+        solve_ivp = lrusim.trajectory.solve_ivp
+
+        def recording_solve_ivp(fun, t_span, y0, **kwargs):
+            functions.append(fun)
+            return solve_ivp(fun, t_span, y0, **kwargs)
+
+        monkeypatch.setattr(lrusim.trajectory, "solve_ivp", recording_solve_ivp)
+        solve_master_dense(config)
+        (rhs,) = functions
+
+        spec = config.lattice
+        basis = lrusim.trajectory._sector(config)
+        real = realize_disorder(spec, _disorder_seed(config.master_seed, 0))
+        rows = basis.occupations @ [9, 3, 1]
+        ham = dense_bose_hubbard_oracle(real.omegas, real.anharmonicities,
+                                        spec.hopping)[np.ix_(rows, rows)]
+        jumps = [math.sqrt(rate) * build_site_operator(spec, site, kind_, basis).dense()
+                 for kind_, rate in (("annihilation", 0.1), ("number", 0.4))
+                 for site in (1, 2, 3)]
+        if kind == "dissipation":
+            jumps.append(math.sqrt(2.0) * build_site_operator(spec, 3, "annihilation",
+                                                               basis).dense())
+        else:
+            jumps += [math.sqrt(2.0) * k for k in reset_kraus_oracle(basis.occupations, 3)]
+
+        dim = basis.dimension
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = (a + a.conj().T) / np.linalg.norm(a + a.conj().T)
+        got = rhs(0.0, rho.ravel()).reshape(dim, dim)
+        assert np.max(np.abs(got - dense_lindblad_rhs(ham, jumps, rho))) < 1e-12
+
+
+def no_jump_system(spec, noise, channel, basis):
+    """H_eff = H - (i/2) diag(decay) of a chain, with its eigensystem."""
+    jumps = noise_jump_operators(noise, spec, basis)
+    jumps += dissipation_jump_operators(channel, spec, basis)
+    decay = decay_rates(jumps, basis.dimension)
+    h_eff = build_bose_hubbard(realize_disorder(spec, 0), basis).dense() - 0.5j * np.diag(decay)
+    return h_eff, decay, eigensystem(h_eff, hermitian=False)
+
+
+class TestJumpTime:
+    #: Norm evaluations allowed per solve; bisecting the span down to float
+    #: resolution takes about 52. The cases below take 2 to 6.
+    MAX_EVALUATIONS = 10
+
+    @pytest.mark.parametrize("case", ["L1-relaxation", "L2-dissipation"])
+    def test_norm_at_solution_is_the_threshold(self, monkeypatch, case):
+        if case == "L1-relaxation":
+            # three levels decaying at different rates under sqrt(gamma) a
+            spec, basis = LatticeSpec(1, 2.0, 1.0, 0.0), FockBasis(1)
+            noise, channel, span = NoiseModel(relaxation_rate=0.8), None, 3.0
+            psi0 = np.ones(3, dtype=complex) / math.sqrt(3.0)
+        else:
+            # a leakage pair hopping onto a dissipative site: the norm falls
+            # in steps, with near-flat stretches between them
+            spec, basis = LatticeSpec(2, 0.0, 10.0, 1.0), FockBasis(2, 3, 2)
+            noise, channel, span = NoiseModel(0.01, 0.01), ResetChannel("dissipation", 2.0), 20.0
+            psi0 = np.zeros(basis.dimension, dtype=complex)
+            psi0[basis.index([2, 0])] = 1.0
+        h_eff, decay, (evals, vecs, vinv) = no_jump_system(spec, noise, channel, basis)
+        coeffs = vinv @ psi0
+        end = evolve_nonhermitian_oracle(h_eff, psi0, span)
+        n_end = float(np.vdot(end, end).real)
+        assert n_end < 0.4
+
+        calls = []
+
+        def counting_evolve(*args):
+            calls.append(args)
+            return evolve(*args)
+
+        monkeypatch.setattr(lrusim.trajectory, "evolve", counting_evolve)
+        for threshold in (1.0 - 1e-9, 0.99, 0.9, 0.7, 0.5, 0.4, n_end + 1e-9):
+            calls.clear()
+            tau, amp = _jump_time(vecs, evals, coeffs, decay, threshold, span, 1.0, n_end)
+            assert 0.0 < tau < span
+            psi = evolve_nonhermitian_oracle(h_eff, psi0, tau)
+            assert abs(np.vdot(psi, psi).real - threshold) <= 1e-12, threshold
+            assert np.max(np.abs(amp - psi)) < 1e-10, threshold
+            assert len(calls) <= self.MAX_EVALUATIONS, threshold
+
+
+class TestClosedForms:
+    """The oracle's leakage decay rate against the paper's two-site closed forms.
+
+    L = 2, W = 0, no noise, U = 10, J = 1; T* is fitted from t = 0. At the
+    optimum (Gamma = U for feedback, 2U for dissipation) the high-rate forms
+    are off by 1-2%; deeper in the regime they hold to a few parts in 1e3.
+    """
+
+    @pytest.mark.parametrize("kind, rate, closed_form, tolerance", [
+        ("random_feedback", 10.0, fb_leakage_rate_high, 0.03),
+        ("random_feedback", 31.6, fb_leakage_rate_high, 0.005),
+        ("dissipation", 20.0, diss_rate_high, 0.03),
+        ("dissipation", 60.0, diss_rate_high, 0.005),
+    ])
+    def test_leakage_rate(self, kind, rate, closed_form, tolerance):
+        config = SimulationConfig(
+            lattice=LatticeSpec(2, 0.0, 10.0, 1.0), channel=ResetChannel(kind, rate),
+            t_max=30.0, dt=0.005, n_trajectories=1, observable_stride=20,
+        )
+        series = solve_master_dense(config)
+        fit = fit_exponential(series.time_grid, series.leakage_total)
+        assert fit.converged
+        assert 1.0 / fit.decay_time == pytest.approx(closed_form(rate, 1.0, 10.0), rel=tolerance)
