@@ -27,8 +27,6 @@ from .analytics import (
 from .channels import (
     NoiseModel,
     ResetChannel,
-    apply_feedback_measurement,
-    measurement_times,
     noise_jump_operators,
     sample_thermal_initial,
 )
@@ -47,13 +45,9 @@ from .observables import (
     FitResult,
     coherence_envelope,
     fit_exponential,
-    leakage_population,
     propagation_time,
 )
-from .propagator import (
-    StateVector,
-    propagate_nonhermitian_norm,
-)
+from .propagator import propagate_nonhermitian_norm
 from .trajectory import (
     EnsembleObservables,
     SimulationConfig,
@@ -74,9 +68,7 @@ __all__ = [
     "OperatorMatrix",
     "ResetChannel",
     "SimulationConfig",
-    "StateVector",
     "TwoSiteParams",
-    "apply_feedback_measurement",
     "build_bose_hubbard",
     "build_effective_nonhermitian",
     "build_effective_propagation",
@@ -93,9 +85,7 @@ __all__ = [
     "fb_leakage_rate_low",
     "fb_qubit_times",
     "fit_exponential",
-    "leakage_population",
     "liouvillian_qubit_gap",
-    "measurement_times",
     "noise_jump_operators",
     "propagate_nonhermitian_norm",
     "propagation_time",

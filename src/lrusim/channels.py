@@ -1,8 +1,10 @@
 """Reset channels, background noise operators and thermal initial states.
 
 The reset acts on the last site of the chain: either a projective feedback
-measurement that maps any outcome |n> to |0> (applied periodically or at
-random times), or an engineered dissipation jump operator sqrt(Gamma) a_L.
+measurement that maps any outcome |n> to |0>, or an engineered dissipation
+jump operator sqrt(Gamma) a_L. Feedback measurements follow one schedule
+(`next_measurement`): periodic with a uniformly random first time, or at
+random times with geometric gaps over steps of dt.
 Background noise enters as per-site relaxation and dephasing jump
 operators; non-zero temperature enters only through the sampled initial
 state of the idle sites.
@@ -24,7 +26,6 @@ from .lattice import (
     full_basis,
     site_monomial,
 )
-from .propagator import StateVector
 from .units import thermal_exponent
 
 CHANNEL_KINDS = ("periodic_feedback", "random_feedback", "dissipation")
@@ -79,36 +80,29 @@ class NoiseModel:
         if min(self.relaxation_rate, self.dephasing_rate, self.temperature) < 0:
             raise ValueError("noise rates and temperature must be non-negative")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.relaxation_rate == 0 and self.dephasing_rate == 0 and self.temperature == 0
 
+def next_measurement(channel: ResetChannel | None, dt: float, rng,
+                     after: float | None = None) -> float:
+    """Time of the feedback measurement that follows the one at `after`.
 
-def measurement_times(channel: ResetChannel, t_max: float, rng: np.random.Generator,
-                      dt: float | None = None) -> np.ndarray:
-    """Event times of the feedback measurements in [0, t_max].
-
-    Periodic: t0 + k/rate with t0 uniform on [0, 1/rate) -- the first
-    measurement time is random because the leakage creation time is unknown.
-    Random: one Bernoulli draw per step of size dt with p = rate*dt, which
-    realizes a Poisson process of the given rate for small dt.
+    With `after` None this is the first measurement. Periodic: the first
+    time is uniform on [0, 1/rate), because the leakage creation time is
+    unknown, and each next one comes 1/rate later. Random: the gap is k*dt
+    with k geometric, P(k) = p (1 - p)^(k - 1) for p = rate*dt, the first
+    event of one Bernoulli draw per step, which realizes a Poisson process
+    of the given rate for small dt; p >= 1 raises StepTooLargeError.
+    A channel that does not measure (None, dissipation, or rate 0) gives inf.
     """
-    if not channel.is_feedback:
-        raise ValueError("measurement times are defined for feedback channels only")
-    if channel.rate == 0:
-        return np.empty(0)
+    if channel is None or not channel.is_feedback or channel.rate == 0:
+        return math.inf
     if channel.kind == "periodic_feedback":
         period = 1.0 / channel.rate
-        t0 = rng.uniform(0.0, period)
-        return np.arange(t0, t_max + 1e-12 * max(t_max, 1.0), period)
-    if dt is None:
-        raise ValueError("random feedback needs the step size dt")
+        return rng.uniform(0.0, period) if after is None else after + period
     p = channel.rate * dt
     if p >= 1:
         raise StepTooLargeError(f"rate*dt = {p:.3f} >= 1")
-    n_steps = int(math.floor(t_max / dt))
-    hits = rng.random(n_steps) < p
-    return (np.nonzero(hits)[0] + 1.0) * dt
+    k = 1 + int(math.floor(math.log1p(-rng.random()) / math.log1p(-p)))
+    return k * dt if after is None else after + k * dt
 
 
 def born_probabilities(amplitudes: np.ndarray, basis: FockBasis, site: int) -> np.ndarray:
@@ -160,16 +154,6 @@ def _emptied(basis: FockBasis, site: int) -> np.ndarray:
     rows = basis.index(occupations)
     rows.flags.writeable = False  # shared by every caller through the cache
     return rows
-
-
-def apply_feedback_measurement(psi: StateVector, basis: FockBasis, site: int,
-                               rng: np.random.Generator) -> tuple[StateVector, int]:
-    """Measure-and-reset of one state (see `measure_and_reset`).
-
-    The returned state is normalized and has the measured site in |0>.
-    """
-    new, outcome = measure_and_reset(psi.amplitudes, basis, site, rng.random())
-    return StateVector(new / np.linalg.norm(new)), int(outcome)
 
 
 def noise_jump_operators(model: NoiseModel, spec: LatticeSpec,
@@ -245,8 +229,8 @@ def local_thermal_weights(omega: float, anharmonicity: float, temperature: float
 
 def sample_thermal_initial(real: DisorderRealization, model: NoiseModel,
                            coding_state, rng: np.random.Generator,
-                           basis: FockBasis | None = None) -> StateVector:
-    """Initial chain state: coding state on site 1, Gibbs-sampled idle sites.
+                           basis: FockBasis | None = None) -> np.ndarray:
+    """Initial chain amplitudes: coding state on site 1, Gibbs-sampled idle sites.
 
     Sites 2..L are drawn independently from the J = 0 Boltzmann weights of
     their local levels (truncated at n = d-1 and renormalized); each call
@@ -275,4 +259,4 @@ def sample_thermal_initial(real: DisorderRealization, model: NoiseModel,
         raise ValueError("initial state has weight outside the basis")
     amplitudes = np.zeros(basis.dimension, dtype=complex)
     amplitudes[rows[inside]] = (coding / np.linalg.norm(coding))[inside]
-    return StateVector(amplitudes)
+    return amplitudes

@@ -21,9 +21,11 @@ import numpy as np
 
 from .units import angular_from_mhz
 
-#: Refuse to build operators above this many basis states. Operators are
-#: stored dense, and a complex one of 4096 states takes 256 MiB.
-MAX_DIMENSION = 4096
+#: Largest Fock basis, full space or sector, that FockBasis builds: 3**6,
+#: the full space of six qutrits. The engine diagonalizes one dense operator
+#: per trajectory and the oracle integrates dimension**2 density entries,
+#: both over such a basis, so this is the one size limit of the package.
+MAX_DIMENSION = 729
 
 HERMITICITY_TOL = 1e-12
 
@@ -302,12 +304,6 @@ def build_site_operator(spec: LatticeSpec, site: int, kind: str,
     op = site_monomial(basis, site, kind)
     return _chain_operator(spec, basis, op.dst, op.src, op.amp,
                            hermitian=kind in ("number", "leakage_number"))
-
-
-def total_number_operator(spec: LatticeSpec) -> OperatorMatrix:
-    """Total excitation number, sum of the site number operators."""
-    total = sum(build_site_operator(spec, s, "number").data for s in range(1, spec.length + 1))
-    return _wrap(total, hermitian=True, model="bose_hubbard", spec=spec)
 
 
 def build_bose_hubbard(real: DisorderRealization,

@@ -15,16 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .lattice import FockBasis, full_basis
+from .lattice import FockBasis
 
 #: Below this floor the log-space linear fit gives way to nonlinear least squares.
 LOG_FIT_FLOOR = 1e-6
 
 MIN_FIT_POINTS = 10
-
-
-class FitError(Exception):
-    """Exponential fit could not be performed on the given window."""
 
 
 @dataclass(frozen=True)
@@ -76,50 +72,6 @@ def density_site1_coherence(rho, basis: FockBasis) -> np.ndarray:
     """<0|rho_1|1> of density matrices (..., D, D) over `basis`, over leading axes."""
     zero, one = _site1_pairs(basis)
     return np.asarray(rho)[..., zero, one].sum(axis=-1)
-
-
-def _basis_of_dimension(dimension: int, local_dim: int) -> FockBasis:
-    length = round(math.log(dimension, local_dim))
-    if local_dim**length != dimension:
-        raise ValueError("dimension is not a power of the local dimension")
-    return full_basis(length, local_dim)
-
-
-def _populations(state_or_density) -> np.ndarray:
-    arr = np.asarray(getattr(state_or_density, "amplitudes", state_or_density))
-    return np.abs(arr) ** 2 if arr.ndim == 1 else np.diagonal(arr).real
-
-
-def leakage_population(state_or_density, local_dim: int = 3, sites="all") -> float:
-    """Expectation of sum_l n_l (n_l - 1)/2, or of the terms of `sites` only.
-
-    Accepts a full-space state vector (1-D), density matrix (2-D) or
-    StateVector.
-    """
-    pops = _populations(state_or_density)
-    leak, _ = site_expectations(pops, _basis_of_dimension(pops.size, local_dim))
-    if sites != "all":
-        leak = leak[np.asarray(sorted(sites)) - 1]
-    return float(leak.sum())
-
-
-def site_occupations(state_or_density, local_dim: int = 3) -> np.ndarray:
-    """Per-site expectation of the number operator (full-space input)."""
-    pops = _populations(state_or_density)
-    return site_expectations(pops, _basis_of_dimension(pops.size, local_dim))[1]
-
-
-def site1_coherence(state_or_density, local_dim: int = 3) -> complex:
-    """Matrix element <0|rho_1|1> of the site-1 reduced density matrix.
-
-    Restricted to the qubit block: the n = 2 population never enters.
-    Takes full-space input, like `leakage_population`.
-    """
-    arr = np.asarray(getattr(state_or_density, "amplitudes", state_or_density))
-    basis = _basis_of_dimension(arr.shape[-1], local_dim)
-    if arr.ndim == 1:
-        return complex(state_site1_coherence(arr, basis))
-    return complex(density_site1_coherence(arr, basis))
 
 
 def coherence_envelope(series) -> np.ndarray:

@@ -51,11 +51,11 @@ from scipy.integrate import solve_ivp
 from .channels import (
     NoiseModel,
     ResetChannel,
-    StepTooLargeError,
     decay_rates,
     dissipation_jump_operators,
     local_thermal_weights,
     measure_and_reset,
+    next_measurement,
     noise_jump_operators,
     sample_thermal_initial,
 )
@@ -68,8 +68,13 @@ from .lattice import (
     build_site_operator,  # noqa: F401 -- unused here, bound for the benchmark's tracer
     realize_disorder,
 )
-from .observables import density_site1_coherence, site_expectations, state_site1_coherence
-from .propagator import EXACT_DIM_LIMIT, eigensystem, evolve
+from .observables import (
+    coherence_envelope,
+    density_site1_coherence,
+    site_expectations,
+    state_site1_coherence,
+)
+from .propagator import eigensystem, evolve
 
 #: Per-chunk trajectory count, shrunk for large sectors so the cached
 #: eigendecompositions (three sector-dimension squares per trajectory) stay
@@ -206,10 +211,6 @@ class _ChunkEngine:
         self.spec = spec
         self.basis = basis
         self.dim = basis.dimension
-        if self.dim > EXACT_DIM_LIMIT:
-            raise ValueError(
-                f"trajectory engine supports sectors of up to {EXACT_DIM_LIMIT} states"
-            )
         self.batch = len(self.indices)
         self.channel = config.channel
         self.noise = config.noise or NoiseModel()
@@ -247,8 +248,7 @@ class _ChunkEngine:
             real = realize_disorder(spec, _disorder_seed(cfg.master_seed, idx))
             hams[row] = build_bose_hubbard(real, self.basis).dense()
             rng_th = _stream(cfg.master_seed, idx, 1)
-            psi[row] = sample_thermal_initial(real, self.noise, coding, rng_th,
-                                              self.basis).amplitudes
+            psi[row] = sample_thermal_initial(real, self.noise, coding, rng_th, self.basis)
 
         diagonal = np.arange(dim)
         hams[:, diagonal, diagonal] -= 0.5j * self.decay
@@ -258,33 +258,11 @@ class _ChunkEngine:
 
     def _init_channel_schedule(self):
         cfg = self.config
-        B = self.batch
-        self.next_meas = np.full(B, math.inf)
-        self.meas_rngs = [None] * B
-        self.period = None
-        if self.channel is None or not self.channel.is_feedback or self.channel.rate == 0:
-            return
-        if self.channel.kind == "periodic_feedback":
-            self.period = 1.0 / self.channel.rate
-            for row, idx in enumerate(self.indices):
-                rng = _stream(cfg.master_seed, idx, 2)
-                self.meas_rngs[row] = rng
-                self.next_meas[row] = rng.uniform(0.0, self.period)
-        else:
-            p = self.channel.rate * cfg.dt
-            if p >= 1:
-                raise StepTooLargeError(f"rate*dt = {p:.3f} >= 1")
-            for row, idx in enumerate(self.indices):
-                rng = _stream(cfg.master_seed, idx, 2)
-                self.meas_rngs[row] = rng
-                self.next_meas[row] = self._draw_random_gap(rng)
-
-    def _draw_random_gap(self, rng) -> float:
-        """Steps-to-next-event of the per-dt Bernoulli process, as a time."""
-        p = self.channel.rate * self.config.dt
-        u = rng.random()
-        k = 1 + int(math.floor(math.log1p(-u) / math.log1p(-p)))
-        return k * self.config.dt
+        measuring = self.channel is not None and self.channel.is_feedback
+        self.meas_rngs = [_stream(cfg.master_seed, idx, 2) if measuring else None
+                          for idx in self.indices]
+        self.next_meas = np.array([next_measurement(self.channel, cfg.dt, rng)
+                                   for rng in self.meas_rngs])
 
     def _init_thresholds(self):
         cfg = self.config
@@ -372,11 +350,10 @@ class _ChunkEngine:
         self.psi[rows] = reset * scale[:, None]
 
     def _schedule_next_measurement(self, rows: np.ndarray):
-        if self.period is not None:
-            self.next_meas[rows] += self.period
-            return
         for r in rows:
-            self.next_meas[int(r)] += self._draw_random_gap(self.meas_rngs[int(r)])
+            r = int(r)
+            self.next_meas[r] = next_measurement(self.channel, self.config.dt,
+                                                 self.meas_rngs[r], float(self.next_meas[r]))
 
     # -- main loops ---------------------------------------------------------
 
@@ -409,7 +386,7 @@ class _ChunkEngine:
         out["leakage_total"][:, g] = leak.sum(axis=1)
         out["leakage_site1"][:, g] = leak[:, 0]
         out["occupation_site1"][:, g] = occ[:, 0]
-        out["envelope"][:, g] = 2.0 * np.abs(c)
+        out["envelope"][:, g] = coherence_envelope(c)
         coh[:, g] = c
 
 
@@ -624,8 +601,6 @@ def solve_master_dense(config: SimulationConfig, t_grid=None,
     spec = config.lattice
     basis = _sector(config)
     dim = basis.dimension
-    if dim**2 > 1_000_000:
-        raise ValueError("density-matrix oracle limited to sector dimension^2 <= 1e6")
     grid = np.asarray(config.time_grid if t_grid is None else t_grid, dtype=float)
     noise = config.noise or NoiseModel()
     real = realize_disorder(spec, _disorder_seed(config.master_seed, 0))

@@ -26,11 +26,6 @@ def angular_from_mhz(f_mhz: float) -> float:
     return TWO_PI * f_mhz
 
 
-def mhz_from_angular(omega: float) -> float:
-    """Angular frequency in rad/us -> ordinary frequency in MHz."""
-    return omega / TWO_PI
-
-
 def thermal_exponent(energy: float, temperature_k: float) -> float:
     """Dimensionless Boltzmann exponent beta*E for E in rad/us, T in kelvin."""
     if temperature_k < 0:

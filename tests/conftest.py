@@ -9,6 +9,8 @@ eigendecomposition.
 import numpy as np
 import pytest
 
+from lrusim.lattice import full_basis
+
 
 def fock_states(length: int, d: int = 3):
     """All occupation tuples, site 1 most significant (library ordering)."""
@@ -45,6 +47,20 @@ def dense_bose_hubbard_oracle(omegas, anharmonicities, hopping, d: int = 3) -> n
                 ham[j, i] += amp
                 ham[i, j] += amp
     return ham
+
+
+def basis_state(occupations, d: int = 3) -> np.ndarray:
+    """Full-space amplitudes of the Fock state |n_1 n_2 ... n_L>, site 1 leftmost.
+
+    Uses the library's row lookup, which `TestFockBasis` checks against
+    `fock_states`.
+    """
+    basis = full_basis(len(occupations), d)
+    (row,) = basis.index([occupations])
+    assert row >= 0, "occupation outside the local dimension"
+    amp = np.zeros(basis.dimension, dtype=complex)
+    amp[row] = 1.0
+    return amp
 
 
 def evolve_dense_oracle(ham: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:

@@ -8,19 +8,17 @@ from lrusim.channels import (
     NoiseModel,
     ResetChannel,
     StepTooLargeError,
-    apply_feedback_measurement,
     born_probabilities,
     local_thermal_weights,
     measure_and_reset,
-    measurement_times,
+    next_measurement,
     noise_jump_operators,
     sample_thermal_initial,
 )
 from lrusim.lattice import FockBasis, LatticeSpec, build_site_operator, realize_disorder
-from lrusim.propagator import StateVector
 from lrusim.trajectory import SimulationConfig, run_ensemble, run_trajectory
 
-from conftest import densify
+from conftest import basis_state, densify
 from test_trajectory import Z_BOUND, max_z
 
 
@@ -37,17 +35,27 @@ class _FixedUniform:
         return self.value
 
 
+def measurement_schedule(channel, t_max, rng, dt=0.1):
+    """Every time next_measurement gives in [0, t_max], as the engine walks it."""
+    times = []
+    t = next_measurement(channel, dt, rng)
+    while t <= t_max + 1e-9:
+        times.append(t)
+        t = next_measurement(channel, dt, rng, t)
+    return np.array(times)
+
+
 class TestMeasurementTimes:
     def test_periodic_progression(self):
         chan = ResetChannel("periodic_feedback", rate=1.0)
-        times = measurement_times(chan, t_max=3.5, rng=_FixedUniform(0.2))
+        times = measurement_schedule(chan, t_max=3.5, rng=_FixedUniform(0.2))
         assert np.allclose(times, [0.2, 1.2, 2.2, 3.2])
 
     def test_zero_rate_empty(self, rng):
-        chan = ResetChannel("periodic_feedback", rate=0.0)
-        assert measurement_times(chan, 10.0, rng).size == 0
-        chan = ResetChannel("random_feedback", rate=0.0)
-        assert measurement_times(chan, 10.0, rng, dt=0.1).size == 0
+        for kind in ("periodic_feedback", "random_feedback"):
+            chan = ResetChannel(kind, rate=0.0)
+            assert next_measurement(chan, 0.1, rng) == math.inf
+            assert measurement_schedule(chan, 10.0, rng).size == 0
 
     def test_random_event_count_statistics(self, rng):
         # rate * t_max = 10: the mean count over many draws is 10 +- 0.3
@@ -55,56 +63,62 @@ class TestMeasurementTimes:
         n_draws = 10_000
         counts = np.empty(n_draws)
         for k in range(n_draws):
-            counts[k] = measurement_times(chan, 10.0, rng, dt=0.01).size
+            counts[k] = measurement_schedule(chan, 10.0, rng, dt=0.01).size
         assert abs(counts.mean() - 10.0) < 0.3
 
-    def test_random_needs_dt(self, rng):
-        chan = ResetChannel("random_feedback", rate=1.0)
-        with pytest.raises(ValueError):
-            measurement_times(chan, 10.0, rng)
+    def test_random_gaps_are_geometric(self, rng):
+        # one Bernoulli draw per step with p = rate * dt = 0.2: the first
+        # event is at k dt with P(k) = p (1 - p)^(k - 1)
+        chan = ResetChannel("random_feedback", rate=2.0)
+        dt, p = 0.1, 0.2
+        n_draws = 20_000
+        gaps = np.array([next_measurement(chan, dt, rng) for _ in range(n_draws)])
+        steps = np.round(gaps / dt)
+        assert np.all(steps >= 1)
+        assert np.abs(gaps - steps * dt).max() < 1e-12
+        for k, expected in ((1, p), (2, p * (1 - p))):
+            freq = np.mean(steps == k)
+            sigma = math.sqrt(expected * (1 - expected) / n_draws)
+            assert abs(freq - expected) < 4 * sigma, k
 
     def test_dissipation_has_no_times(self, rng):
-        chan = ResetChannel("dissipation", rate=1.0)
-        with pytest.raises(ValueError):
-            measurement_times(chan, 10.0, rng)
+        assert next_measurement(ResetChannel("dissipation", rate=1.0), 0.1, rng) == math.inf
+        assert next_measurement(None, 0.1, rng) == math.inf
 
 
 class TestFeedbackMeasurement:
+    """`measure_and_reset` on single states, one uniform draw each."""
+
     def test_deterministic_projection(self, rng):
-        spec = LatticeSpec(2, 1.0, 1.0, 0.1)
-        basis = FockBasis(spec.length)
-        psi = StateVector.basis_state(spec, [0, 2])
-        out, outcome = apply_feedback_measurement(psi, basis, 2, rng)
+        basis = FockBasis(2)
+        out, outcome = measure_and_reset(basis_state([0, 2]), basis, 2, rng.random())
         assert outcome == 2
-        expected = StateVector.basis_state(spec, [0, 0]).amplitudes
-        assert np.abs(out.amplitudes - expected).max() < 1e-12
+        expected = basis_state([0, 0])
+        assert np.abs(out - expected).max() < 1e-12
 
     def test_superposition_both_branches_reset(self, rng):
-        spec = LatticeSpec(2, 1.0, 1.0, 0.1)
-        basis = FockBasis(spec.length)
-        a = StateVector.basis_state(spec, [0, 1]).amplitudes
-        b = StateVector.basis_state(spec, [0, 0]).amplitudes
-        psi = StateVector((a + b) / np.sqrt(2))
+        basis = FockBasis(2)
+        psi = (basis_state([0, 1]) + basis_state([0, 0])) / np.sqrt(2)
         seen = set()
         for _ in range(200):
-            out, outcome = apply_feedback_measurement(psi, basis, 2, rng)
-            seen.add(outcome)
+            out, outcome = measure_and_reset(psi, basis, 2, rng.random())
+            seen.add(int(outcome))
             # either way the measured site ends in |0>
-            probs = born_probabilities(out.amplitudes, basis, 2)
+            probs = born_probabilities(out, basis, 2)
             assert probs[0] == pytest.approx(1.0, abs=1e-12)
-            assert abs(out.norm() - 1.0) < 1e-12
+            # the branch is not renormalized: it keeps norm sqrt(1/2)
+            assert abs(np.linalg.norm(out) - np.sqrt(0.5)) < 1e-12
         assert seen == {0, 1}
 
     def test_born_statistics(self, rng):
-        spec = LatticeSpec(2, 1.0, 1.0, 0.1)
-        basis = FockBasis(spec.length)
+        basis = FockBasis(2)
         amp = rng.normal(size=9) + 1j * rng.normal(size=9)
-        psi = StateVector(amp / np.linalg.norm(amp))
-        probs = born_probabilities(psi.amplitudes, basis, 2)
+        psi = amp / np.linalg.norm(amp)
+        probs = born_probabilities(psi, basis, 2)
         n_samples = 100_000
         counts = np.zeros(3)
         for _ in range(n_samples):
-            _, outcome = apply_feedback_measurement(psi, basis, 2, rng)
+            _, outcome = measure_and_reset(psi, basis, 2, rng.random())
             counts[outcome] += 1
         freq = counts / n_samples
         sigma = np.sqrt(probs * (1 - probs) / n_samples)
@@ -114,31 +128,30 @@ class TestFeedbackMeasurement:
         spec = LatticeSpec(3, 2.0, 1.5, 0.2, 0.5)
         basis = FockBasis(spec.length)
         amp = rng.normal(size=27) + 1j * rng.normal(size=27)
-        psi = StateVector(amp / np.linalg.norm(amp))
+        psi = amp / np.linalg.norm(amp)
         number = build_site_operator(spec, 3, "number").dense()
-        out, _ = apply_feedback_measurement(psi, basis, 3, rng)
-        occ = np.vdot(out.amplitudes, number @ out.amplitudes).real
+        out, _ = measure_and_reset(psi, basis, 3, rng.random())
+        occ = np.vdot(out, number @ out).real
         assert occ == pytest.approx(0.0, abs=1e-12)
 
     def test_batch_matches_single_measurements(self, rng):
         # a (2, 3) batch of unnormalized states, one uniform each
-        spec = LatticeSpec(3, 2.0, 1.5, 0.2, 0.5)
-        basis = FockBasis(spec.length)
+        basis = FockBasis(3)
         amps = rng.normal(size=(2, 3, 27)) + 1j * rng.normal(size=(2, 3, 27))
         draws = rng.random((2, 3))
         probs = born_probabilities(amps, basis, 2)
         reset, outcomes = measure_and_reset(amps, basis, 2, draws)
         assert probs.shape == (2, 3, 3) and outcomes.shape == (2, 3)
         for idx in np.ndindex(2, 3):
-            psi = StateVector(amps[idx] / np.linalg.norm(amps[idx]))
-            assert np.allclose(probs[idx], born_probabilities(psi.amplitudes, basis, 2))
-            out, outcome = apply_feedback_measurement(psi, basis, 2, _FixedUniform(draws[idx]))
+            psi = amps[idx] / np.linalg.norm(amps[idx])
+            assert np.allclose(probs[idx], born_probabilities(psi, basis, 2))
+            out, outcome = measure_and_reset(amps[idx], basis, 2, draws[idx])
             assert outcome == outcomes[idx]
             # the batch keeps the branch norm: sqrt(p_outcome) of the input norm
             norm = np.linalg.norm(reset[idx])
             assert norm == pytest.approx(
                 np.linalg.norm(amps[idx]) * np.sqrt(probs[idx][outcome]), rel=1e-12)
-            assert np.abs(reset[idx] / norm - out.amplitudes).max() < 1e-12
+            assert np.abs(reset[idx] - out).max() < 1e-12
 
 
 class TestNoiseOperators:
@@ -234,8 +247,8 @@ class TestThermalSampling:
         real = realize_disorder(spec, 3)
         coding = np.array([0, 0, 1.0])
         psi = sample_thermal_initial(real, NoiseModel(), coding, rng)
-        expected = StateVector.basis_state(spec, [2, 0, 0])
-        assert np.abs(psi.amplitudes - expected.amplitudes).max() < 1e-12
+        expected = basis_state([2, 0, 0])
+        assert np.abs(psi - expected).max() < 1e-12
 
     def test_sector_state_is_the_full_state_restricted(self):
         spec = LatticeSpec.from_mhz(4, 7500, 250, 5, 100)
@@ -247,12 +260,12 @@ class TestThermalSampling:
         outcomes = set()
         for seed in range(40):
             full = sample_thermal_initial(real, model, coding, np.random.default_rng(seed))
-            fits = not np.any(full.amplitudes[~inside])
+            fits = not np.any(full[~inside])
             outcomes.add(fits)
             if fits:
                 part = sample_thermal_initial(real, model, coding, np.random.default_rng(seed),
                                               sector)
-                assert np.array_equal(full.amplitudes[inside], part.amplitudes)
+                assert np.array_equal(full[inside], part)
             else:
                 with pytest.raises(ValueError):
                     sample_thermal_initial(real, model, coding, np.random.default_rng(seed),
@@ -272,7 +285,7 @@ class TestThermalSampling:
         counts = np.zeros(3)
         for _ in range(n_samples):
             psi = sample_thermal_initial(real, model, coding, rng)
-            idx = int(np.argmax(np.abs(psi.amplitudes)))
+            idx = int(np.argmax(np.abs(psi)))
             counts[idx % 3] += 1
         freq = counts / n_samples
         sigma = np.sqrt(weights * (1 - weights) / n_samples)
@@ -293,7 +306,7 @@ class TestThermalSampling:
         n3 = np.empty(n_samples)
         for k in range(n_samples):
             psi = sample_thermal_initial(real, model, coding, rng)
-            idx = int(np.argmax(np.abs(psi.amplitudes)))
+            idx = int(np.argmax(np.abs(psi)))
             n3[k] = idx % 3
             n2[k] = (idx // 3) % 3
         corr = np.corrcoef(n2, n3)[0, 1]

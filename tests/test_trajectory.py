@@ -34,9 +34,15 @@ from lrusim.channels import (
     local_thermal_weights,
     noise_jump_operators,
 )
-from lrusim.lattice import build_bose_hubbard, build_site_operator, full_basis, realize_disorder
+from lrusim.lattice import (
+    MAX_DIMENSION,
+    build_bose_hubbard,
+    build_site_operator,
+    full_basis,
+    realize_disorder,
+)
 from lrusim.observables import fit_exponential
-from lrusim.propagator import EXACT_DIM_LIMIT, eigensystem, evolve
+from lrusim.propagator import eigensystem, evolve
 from lrusim.trajectory import (
     _chunk_size,
     _disorder_seed,
@@ -194,8 +200,8 @@ class TestSector:
     def test_sector_above_exact_limit_raises(self):
         # at T > 0 the sector is the full space: 3**7 = 2187 states
         config = hot_config(7)
-        assert lrusim.trajectory._sector(config).dimension > EXACT_DIM_LIMIT
-        with pytest.raises(ValueError, match="sectors of up to"):
+        assert config.lattice.dimension > MAX_DIMENSION
+        with pytest.raises(ValueError, match="exceeds budget"):
             run_ensemble(config)
 
 
@@ -270,10 +276,9 @@ class TestOracleSector:
 
     @pytest.mark.parametrize("length", [7, 8])
     def test_oracle_above_size_bound_raises(self, length):
-        # at T > 0 the sector is the full space: 3**7 = 2187 states are above
-        # the oracle's bound, 3**8 = 6561 above the operator budget as well
-        message = {7: "oracle limited", 8: "exceeds budget"}[length]
-        with pytest.raises(ValueError, match=message):
+        # at T > 0 the sector is the full space: 3**7 = 2187 and 3**8 = 6561
+        # states are both above the basis budget
+        with pytest.raises(ValueError, match="exceeds budget"):
             solve_master_dense(hot_config(length))
 
 
