@@ -34,9 +34,7 @@ from .lattice import (
     DisorderRealization,
     FockBasis,
     LatticeSpec,
-    OperatorMatrix,
     build_bose_hubbard,
-    build_effective_nonhermitian,
     build_effective_propagation,
     build_site_operator,
     realize_disorder,
@@ -65,12 +63,10 @@ __all__ = [
     "FockBasis",
     "LatticeSpec",
     "NoiseModel",
-    "OperatorMatrix",
     "ResetChannel",
     "SimulationConfig",
     "TwoSiteParams",
     "build_bose_hubbard",
-    "build_effective_nonhermitian",
     "build_effective_propagation",
     "build_site_operator",
     "coherence_envelope",

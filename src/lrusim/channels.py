@@ -23,7 +23,6 @@ from .lattice import (
     FockBasis,
     LatticeSpec,
     Monomial,
-    full_basis,
     site_monomial,
 )
 from .units import thermal_exponent
@@ -157,16 +156,14 @@ def _emptied(basis: FockBasis, site: int) -> np.ndarray:
 
 
 def noise_jump_operators(model: NoiseModel, spec: LatticeSpec,
-                         basis: FockBasis | None = None) -> list[Monomial]:
+                         basis: FockBasis) -> list[Monomial]:
     """Per-site Lindblad jump operators for relaxation and dephasing, in `basis`.
 
     Relaxation: sqrt(gamma) a_l. Dephasing: sqrt(2 kappa) n_l -- the factor
     of two comes from mapping qubit sigma_z dephasing onto the transmon
     number operator. Returns 2L operators when both rates are positive,
-    relaxation first, each in its Monomial form. The default basis is the
-    full space.
+    relaxation first, each in its Monomial form.
     """
-    basis = full_basis(spec.length, spec.local_dim) if basis is None else basis
     basis.check(spec)
     ops: list[Monomial] = []
     for kind, rate in (("annihilation", model.relaxation_rate),
@@ -229,19 +226,22 @@ def local_thermal_weights(omega: float, anharmonicity: float, temperature: float
 
 def sample_thermal_initial(real: DisorderRealization, model: NoiseModel,
                            coding_state, rng: np.random.Generator,
-                           basis: FockBasis | None = None) -> np.ndarray:
+                           basis: FockBasis) -> np.ndarray:
     """Initial chain amplitudes: coding state on site 1, Gibbs-sampled idle sites.
 
     Sites 2..L are drawn independently from the J = 0 Boltzmann weights of
     their local levels (truncated at n = d-1 and renormalized); each call
     returns one sampled product eigenstate, not the averaged Gibbs state,
-    with amplitudes over `basis` (default: the full space). Raises
-    ValueError if the state has weight outside the basis.
+    with amplitudes over `basis`. Raises ValueError if the coding state is
+    zero or the state has weight outside the basis.
     """
     spec = real.spec
     coding = np.asarray(coding_state, dtype=complex).ravel()
     if coding.size != spec.local_dim:
         raise ValueError("coding state must be a single-site vector")
+    norm = np.linalg.norm(coding)
+    if norm == 0:
+        raise ValueError("coding state must be non-zero")
     occupations = np.zeros((spec.local_dim, spec.length), dtype=np.int64)
     occupations[:, 0] = np.arange(spec.local_dim)
     for site in range(2, spec.length + 1):
@@ -251,12 +251,11 @@ def sample_thermal_initial(real: DisorderRealization, model: NoiseModel,
         )
         level = int(np.searchsorted(np.cumsum(weights), rng.random(), side="right"))
         occupations[:, site - 1] = min(level, spec.local_dim - 1)
-    basis = full_basis(spec.length, spec.local_dim) if basis is None else basis
     basis.check(spec)
     rows = basis.index(occupations)
     inside = rows >= 0
     if np.any(coding[~inside] != 0):
         raise ValueError("initial state has weight outside the basis")
     amplitudes = np.zeros(basis.dimension, dtype=complex)
-    amplitudes[rows[inside]] = (coding / np.linalg.norm(coding))[inside]
+    amplitudes[rows[inside]] = (coding / norm)[inside]
     return amplitudes

@@ -7,14 +7,18 @@ that the second-level energy 2*omega_l - U_l is identical on every site:
 the single-excitation levels are detuned site to site while the two-boson
 ("leakage") level stays resonant across the chain.
 
-Chain operators are assembled from the occupation table of a `FockBasis`,
-either the full d**L space or one of its excitation-number sectors.
+Every chain operator is a plain dense ndarray over a `FockBasis` the caller
+passes: the full d**L space, `FockBasis(L)`, or one of its
+excitation-number sectors, with matrix elements read off the basis
+occupation table. The one operator not over a `FockBasis` is the L x L
+effective model of a single leakage pair
+(`build_effective_propagation`). No-jump Hamiltonians are not built here:
+they are H - (i/2) diag(d), with d from `channels.decay_rates`.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -207,56 +211,16 @@ class FockBasis:
             raise ValueError("basis and lattice disagree on length or local dimension")
 
 
-@dataclass
-class OperatorMatrix:
-    """Operator on the chain Hilbert space (or an effective model space).
-
-    ``data`` is a dense (dimension, dimension) ndarray. ``model`` tags the
-    space the operator acts on: "bose_hubbard" (the Fock states of
-    ``basis``), "leakage_effective" (L-dim single-leakage-particle space)
-    or "generic".
-    """
-
-    data: np.ndarray
-    dimension: int
-    hermitian: bool
-    model: str = "generic"
-    spec: LatticeSpec | None = field(default=None, repr=False)
-    basis: FockBasis | None = field(default=None, repr=False)
-
-    def dense(self) -> np.ndarray:
-        return self.data
-
-
-def _wrap(matrix: np.ndarray, hermitian: bool, model: str = "generic", spec=None,
-          basis=None) -> OperatorMatrix:
+def _dense(basis: FockBasis, rows, cols, values, hermitian: bool) -> np.ndarray:
+    """Dense operator over `basis` with `values` accumulated at (rows, cols)."""
+    values = np.asarray(values)
+    matrix = np.zeros((basis.dimension, basis.dimension), dtype=values.dtype)
+    np.add.at(matrix, (rows, cols), values)
     if hermitian:
         maxdiff = np.abs(matrix - matrix.conj().T).max(initial=0.0)
         if maxdiff > HERMITICITY_TOL * max(1.0, np.abs(matrix).max(initial=0.0)):
             raise ValueError("matrix flagged hermitian is not hermitian")
-    return OperatorMatrix(data=matrix, dimension=matrix.shape[0], hermitian=hermitian,
-                          model=model, spec=spec, basis=basis)
-
-
-def _chain_operator(spec: LatticeSpec, basis: FockBasis, rows, cols, values,
-                    hermitian: bool) -> OperatorMatrix:
-    values = np.asarray(values)
-    matrix = np.zeros((basis.dimension, basis.dimension), dtype=values.dtype)
-    np.add.at(matrix, (rows, cols), values)
-    return _wrap(matrix, hermitian, model="bose_hubbard", spec=spec, basis=basis)
-
-
-@functools.lru_cache(maxsize=8)
-def full_basis(length: int, local_dim: int = 3) -> FockBasis:
-    """The full d**L Fock space as a FockBasis, built once per shape."""
-    return FockBasis(length, local_dim)
-
-
-def _basis_for(spec: LatticeSpec, basis: FockBasis | None) -> FockBasis:
-    if basis is None:
-        return full_basis(spec.length, spec.local_dim)
-    basis.check(spec)
-    return basis
+    return matrix
 
 
 class Monomial(NamedTuple):
@@ -295,27 +259,26 @@ def site_monomial(basis: FockBasis, site: int, kind: str) -> Monomial:
 
 
 def build_site_operator(spec: LatticeSpec, site: int, kind: str,
-                        basis: FockBasis | None = None) -> OperatorMatrix:
-    """Local operator at `site` (1-based) in `basis`, by default the full space.
+                        basis: FockBasis) -> np.ndarray:
+    """Local operator at `site` (1-based) as a dense matrix over `basis`.
 
     The dense form of `site_monomial`.
     """
-    basis = _basis_for(spec, basis)
+    basis.check(spec)
     op = site_monomial(basis, site, kind)
-    return _chain_operator(spec, basis, op.dst, op.src, op.amp,
-                           hermitian=kind in ("number", "leakage_number"))
+    return _dense(basis, op.dst, op.src, op.amp,
+                  hermitian=kind in ("number", "leakage_number"))
 
 
-def build_bose_hubbard(real: DisorderRealization,
-                       basis: FockBasis | None = None) -> OperatorMatrix:
-    """Chain Hamiltonian for one disorder realization, in `basis` (default: full space).
+def build_bose_hubbard(real: DisorderRealization, basis: FockBasis) -> np.ndarray:
+    """Chain Hamiltonian for one disorder realization, as a dense matrix over `basis`.
 
     H = sum_l [omega_l n_l - (U_l/2) n_l (n_l - 1) + J (a_l^dag a_{l+1} + h.c.)]
     with open boundaries. H conserves the total excitation number, so it
     closes on every excitation-number sector.
     """
     spec = real.spec
-    basis = _basis_for(spec, basis)
+    basis.check(spec)
     n = basis.occupations.astype(float)
     diagonal = np.arange(basis.dimension)
     rows, cols = [diagonal], [diagonal]
@@ -327,59 +290,29 @@ def build_bose_hubbard(real: DisorderRealization,
         rows += [dst, src]
         cols += [src, dst]
         values += [amp, amp]
-    return _chain_operator(spec, basis, np.concatenate(rows), np.concatenate(cols),
-                           np.concatenate(values).astype(complex), hermitian=True)
+    return _dense(basis, np.concatenate(rows), np.concatenate(cols),
+                  np.concatenate(values).astype(complex), hermitian=True)
 
 
-def build_effective_propagation(real: DisorderRealization) -> OperatorMatrix:
-    """Single-particle Hamiltonian for a leakage pair hopping along the chain.
+def build_effective_propagation(spec: LatticeSpec, rate: float = 0.0) -> np.ndarray:
+    """No-jump Hamiltonian of one leakage pair hopping along the chain.
 
-    L x L matrix with diagonal (J_prop, 0, ..., 0, J_prop) and off-diagonals
-    -J_prop, where J_prop = 2 J^2 / U_bar. Valid for J/U_bar << 1; the edge
-    diagonal entries encode the boundary-induced detuning of the end sites.
-    """
-    spec = real.spec
-    L = spec.length
-    jp = spec.hopping_effective
-    mat = np.zeros((L, L))
-    mat[0, 0] = jp
-    mat[L - 1, L - 1] = jp
-    for i in range(L - 1):
-        mat[i, i + 1] = -jp
-        mat[i + 1, i] = -jp
-    return _wrap(mat.astype(complex), hermitian=True, model="leakage_effective", spec=spec)
-
-
-def build_effective_nonhermitian(
-    ham: OperatorMatrix, reset_site: int, rate: float, channel_kind: str
-) -> OperatorMatrix:
-    """No-jump effective Hamiltonian for a reset channel at `reset_site`.
-
-    Dissipation subtracts i/2 times the boson-number operator at the reset
-    site scaled by the rate; in the leakage-effective model one particle
-    carries two bosons, so the single-particle projector enters with the
-    full rate. Feedback measurement with a complete projector set subtracts
-    i*rate/2 times the identity.
+    L x L matrix over the pair's position: H_prop has diagonal (J_prop, 0,
+    ..., 0, J_prop) and off-diagonals -J_prop, where J_prop = 2 J^2 / U_bar;
+    the edge entries are the boundary-induced detuning of the end sites.
+    Valid for J/U_bar << 1. Dissipation sqrt(rate) a_L at the last site
+    empties the pair state |2> at 2*rate, so the chain's no-jump rule
+    H - (i/2) diag(d) subtracts i*rate at the last position.
     """
     if rate < 0:
         raise ValueError("rate must be non-negative")
-    if rate == 0:
-        return ham
-    dim = ham.dimension
-    if channel_kind in ("periodic_feedback", "random_feedback"):
-        shift = 0.5 * rate * np.eye(dim)
-    elif channel_kind == "dissipation":
-        if ham.model == "leakage_effective":
-            if not 1 <= reset_site <= dim:
-                raise ValueError(f"site {reset_site} outside 1..{dim}")
-            shift = np.zeros((dim, dim))
-            shift[reset_site - 1, reset_site - 1] = rate
-        else:
-            if ham.spec is None:
-                raise ValueError("bose_hubbard operator lacks its LatticeSpec")
-            number = build_site_operator(ham.spec, reset_site, "number", ham.basis).data
-            shift = 0.5 * rate * number
-    else:
-        raise ValueError(f"unknown channel kind {channel_kind!r}")
-    return _wrap(ham.data.astype(complex) - 1j * shift, hermitian=False,
-                 model=ham.model, spec=ham.spec, basis=ham.basis)
+    L = spec.length
+    jp = spec.hopping_effective
+    mat = np.zeros((L, L), dtype=complex)
+    mat[0, 0] = jp
+    mat[L - 1, L - 1] = jp
+    bond = np.arange(L - 1)
+    mat[bond, bond + 1] = -jp
+    mat[bond + 1, bond] = -jp
+    mat[L - 1, L - 1] -= 1j * rate
+    return mat

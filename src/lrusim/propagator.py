@@ -2,16 +2,16 @@
 
 Every evolution diagonalizes the Hamiltonian once (`eigensystem`) and then
 applies exp(-i H tau) in its eigenbasis (`evolve`), which is exact for any
-step size. The trajectory engine does this for whole batches of
-trajectories; states are plain complex amplitude arrays over the rows of a
-`lattice.FockBasis`, whose size `lattice.MAX_DIMENSION` bounds.
+step size. Hamiltonians are dense ndarrays, batched over leading axes, and
+states are complex amplitude arrays over the same rows: those of a
+`lattice.FockBasis`, whose size `lattice.MAX_DIMENSION` bounds, or of the
+L x L leakage-pair model. The trajectory engine evolves whole batches of
+trajectories this way.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .lattice import OperatorMatrix
 
 
 def eigensystem(matrices, hermitian: bool):
@@ -41,12 +41,12 @@ def evolve(vecs, evals, coeffs, taus):
     return np.matmul(vecs, phased[..., None])[..., 0]
 
 
-def propagate_nonhermitian_norm(ham_eff: OperatorMatrix, psi0, t_grid) -> np.ndarray:
+def propagate_nonhermitian_norm(ham_eff: np.ndarray, psi0, t_grid) -> np.ndarray:
     """Squared norm of exp(-i H_eff t) |psi0> on a time grid, psi0 an amplitude array.
 
     For a dissipative no-jump Hamiltonian the result is the trajectory
     survival probability and is monotone non-increasing.
     """
-    evals, vecs, vinv = eigensystem(ham_eff.dense(), ham_eff.hermitian)
+    evals, vecs, vinv = eigensystem(ham_eff, hermitian=False)
     site = evolve(vecs, evals, vinv @ psi0, t_grid)
     return (site.real**2 + site.imag**2).sum(axis=-1)

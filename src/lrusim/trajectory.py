@@ -120,6 +120,10 @@ class SimulationConfig:
             raise ValueError("need at least one trajectory")
         if self.observable_stride < 1:
             raise ValueError("observable_stride must be >= 1")
+        steps = self.t_max / self.observable_dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            # the observable grid would stop short of t_max or run past it
+            raise ValueError("t_max must be a multiple of observable_stride * dt")
         if self.initial_coding_state not in CODING_STATES:
             raise ValueError(f"unknown coding state {self.initial_coding_state!r}")
         if self.lattice.local_dim != 3:
@@ -131,7 +135,7 @@ class SimulationConfig:
 
     @property
     def time_grid(self) -> np.ndarray:
-        n = max(1, round(self.t_max / self.observable_dt))
+        n = round(self.t_max / self.observable_dt)
         return np.arange(n + 1) * self.observable_dt
 
     def coding_vector(self) -> np.ndarray:
@@ -246,7 +250,7 @@ class _ChunkEngine:
 
         for row, idx in enumerate(self.indices):
             real = realize_disorder(spec, _disorder_seed(cfg.master_seed, idx))
-            hams[row] = build_bose_hubbard(real, self.basis).dense()
+            hams[row] = build_bose_hubbard(real, self.basis)
             rng_th = _stream(cfg.master_seed, idx, 1)
             psi[row] = sample_thermal_initial(real, self.noise, coding, rng_th, self.basis)
 
@@ -604,7 +608,7 @@ def solve_master_dense(config: SimulationConfig, t_grid=None,
     grid = np.asarray(config.time_grid if t_grid is None else t_grid, dtype=float)
     noise = config.noise or NoiseModel()
     real = realize_disorder(spec, _disorder_seed(config.master_seed, 0))
-    ham = build_bose_hubbard(real, basis).dense()
+    ham = build_bose_hubbard(real, basis)
 
     jumps = noise_jump_operators(noise, spec, basis)
     jumps += dissipation_jump_operators(config.channel, spec, basis)

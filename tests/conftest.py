@@ -9,7 +9,8 @@ eigendecomposition.
 import numpy as np
 import pytest
 
-from lrusim.lattice import full_basis
+from lrusim.channels import ResetChannel, decay_rates, dissipation_jump_operators
+from lrusim.lattice import FockBasis, build_bose_hubbard
 
 
 def fock_states(length: int, d: int = 3):
@@ -55,12 +56,18 @@ def basis_state(occupations, d: int = 3) -> np.ndarray:
     Uses the library's row lookup, which `TestFockBasis` checks against
     `fock_states`.
     """
-    basis = full_basis(len(occupations), d)
+    basis = FockBasis(len(occupations), d)
     (row,) = basis.index([occupations])
     assert row >= 0, "occupation outside the local dimension"
     amp = np.zeros(basis.dimension, dtype=complex)
     amp[row] = 1.0
     return amp
+
+
+def dissipative_no_jump(real, basis, rate: float, site=None) -> np.ndarray:
+    """H - (i/2) diag(d) under dissipation sqrt(rate) a_site, the rule the engine runs."""
+    jumps = dissipation_jump_operators(ResetChannel("dissipation", rate, site), real.spec, basis)
+    return build_bose_hubbard(real, basis) - 0.5j * np.diag(decay_rates(jumps, basis.dimension))
 
 
 def evolve_dense_oracle(ham: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:

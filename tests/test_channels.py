@@ -45,6 +45,15 @@ def measurement_schedule(channel, t_max, rng, dt=0.1):
     return np.array(times)
 
 
+class TestResetChannel:
+    def test_unknown_kind_and_negative_rate_rejected(self):
+        # only the kinds of CHANNEL_KINDS, no "feedback" shorthand
+        with pytest.raises(ValueError, match="unknown channel kind"):
+            ResetChannel("feedback", 1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            ResetChannel("dissipation", -1.0)
+
+
 class TestMeasurementTimes:
     def test_periodic_progression(self):
         chan = ResetChannel("periodic_feedback", rate=1.0)
@@ -129,7 +138,7 @@ class TestFeedbackMeasurement:
         basis = FockBasis(spec.length)
         amp = rng.normal(size=27) + 1j * rng.normal(size=27)
         psi = amp / np.linalg.norm(amp)
-        number = build_site_operator(spec, 3, "number").dense()
+        number = build_site_operator(spec, 3, "number", basis)
         out, _ = measure_and_reset(psi, basis, 3, rng.random())
         occ = np.vdot(out, number @ out).real
         assert occ == pytest.approx(0.0, abs=1e-12)
@@ -157,17 +166,18 @@ class TestFeedbackMeasurement:
 class TestNoiseOperators:
     def test_empty_for_trivial_model(self):
         spec = LatticeSpec(2, 1.0, 1.0, 0.1)
-        assert noise_jump_operators(NoiseModel(), spec) == []
+        assert noise_jump_operators(NoiseModel(), spec, FockBasis(2)) == []
 
     def test_operator_count(self):
         spec = LatticeSpec(3, 1.0, 1.0, 0.1)
-        ops = noise_jump_operators(NoiseModel(relaxation_rate=0.1, dephasing_rate=0.2), spec)
+        ops = noise_jump_operators(NoiseModel(relaxation_rate=0.1, dephasing_rate=0.2), spec,
+                                   FockBasis(3))
         assert len(ops) == 6
 
     def test_dephasing_amplitude_carries_factor_two(self):
         kappa = 0.13
         spec = LatticeSpec(1, 1.0, 1.0, 0.0)
-        ops = noise_jump_operators(NoiseModel(dephasing_rate=kappa), spec)
+        ops = noise_jump_operators(NoiseModel(dephasing_rate=kappa), spec, FockBasis(1))
         assert len(ops) == 1
         element = densify(ops[0], 3)[1, 1]
         assert abs(element) ** 2 == pytest.approx(2 * kappa, rel=1e-12)
@@ -175,7 +185,8 @@ class TestNoiseOperators:
     def test_probability_budget_first_order(self, rng):
         # sum dp_k + ||no-jump branch||^2 = 1 within O(dt^2)
         spec = LatticeSpec(2, 1.0, 1.0, 0.1)
-        ops = noise_jump_operators(NoiseModel(relaxation_rate=0.3, dephasing_rate=0.2), spec)
+        ops = noise_jump_operators(NoiseModel(relaxation_rate=0.3, dephasing_rate=0.2), spec,
+                                   FockBasis(2))
         dense_ops = [densify(o, 9) for o in ops]
         decay = sum(o.conj().T @ o for o in dense_ops)
         evals, vecs = np.linalg.eigh(decay)
@@ -246,9 +257,16 @@ class TestThermalSampling:
         spec = LatticeSpec.from_mhz(3, 7500, 250, 5, 100)
         real = realize_disorder(spec, 3)
         coding = np.array([0, 0, 1.0])
-        psi = sample_thermal_initial(real, NoiseModel(), coding, rng)
+        psi = sample_thermal_initial(real, NoiseModel(), coding, rng, FockBasis(3))
         expected = basis_state([2, 0, 0])
         assert np.abs(psi - expected).max() < 1e-12
+
+    def test_zero_coding_state_rejected(self, rng):
+        # dividing by its zero norm gave NaN amplitudes and only a warning
+        spec = LatticeSpec.from_mhz(2, 7500, 250, 5)
+        real = realize_disorder(spec, 0)
+        with pytest.raises(ValueError, match="non-zero"):
+            sample_thermal_initial(real, NoiseModel(), np.zeros(3), rng, FockBasis(2))
 
     def test_sector_state_is_the_full_state_restricted(self):
         spec = LatticeSpec.from_mhz(4, 7500, 250, 5, 100)
@@ -256,10 +274,11 @@ class TestThermalSampling:
         model = NoiseModel(temperature=0.3)
         coding = np.array([1.0, 1.0, 0.0])
         sector = FockBasis(4, 3, 2)
-        inside = sector.index(FockBasis(4).occupations) >= 0
+        basis = FockBasis(4)
+        inside = sector.index(basis.occupations) >= 0
         outcomes = set()
         for seed in range(40):
-            full = sample_thermal_initial(real, model, coding, np.random.default_rng(seed))
+            full = sample_thermal_initial(real, model, coding, np.random.default_rng(seed), basis)
             fits = not np.any(full[~inside])
             outcomes.add(fits)
             if fits:
@@ -281,10 +300,11 @@ class TestThermalSampling:
         ratio = weights[1] / weights[0]
         assert ratio == pytest.approx(math.exp(-3.5995), rel=1e-3)
         coding = np.array([1.0, 0, 0])
+        basis = FockBasis(2)
         n_samples = 100_000
         counts = np.zeros(3)
         for _ in range(n_samples):
-            psi = sample_thermal_initial(real, model, coding, rng)
+            psi = sample_thermal_initial(real, model, coding, rng, basis)
             idx = int(np.argmax(np.abs(psi)))
             counts[idx % 3] += 1
         freq = counts / n_samples
@@ -301,11 +321,12 @@ class TestThermalSampling:
         real = realize_disorder(spec, 8)
         model = NoiseModel(temperature=0.35)  # hotter for more excitation
         coding = np.array([1.0, 0, 0])
+        basis = FockBasis(3)
         n_samples = 20_000
         n2 = np.empty(n_samples)
         n3 = np.empty(n_samples)
         for k in range(n_samples):
-            psi = sample_thermal_initial(real, model, coding, rng)
+            psi = sample_thermal_initial(real, model, coding, rng, basis)
             idx = int(np.argmax(np.abs(psi)))
             n3[k] = idx % 3
             n2[k] = (idx // 3) % 3

@@ -10,16 +10,21 @@ from lrusim.lattice import (
     DisorderRealization,
     FockBasis,
     LatticeSpec,
+    _dense,
     build_bose_hubbard,
-    build_effective_nonhermitian,
     build_effective_propagation,
     build_site_operator,
-    full_basis,
     realize_disorder,
 )
 from lrusim.units import TWO_PI, angular_from_mhz
 
-from conftest import densify, dense_bose_hubbard_oracle, evolve_dense_oracle, fock_states
+from conftest import (
+    densify,
+    dense_bose_hubbard_oracle,
+    dissipative_no_jump,
+    evolve_dense_oracle,
+    fock_states,
+)
 
 
 FIG1 = dict(length=3, f_mhz=7500.0, u_mhz=250.0, j_mhz=5.0, w_mhz=100.0)
@@ -71,26 +76,27 @@ class TestDisorder:
 class TestSiteOperators:
     def test_annihilation_matrix_elements(self):
         spec = LatticeSpec(1, 0.0, 1.0, 0.0)
-        a = build_site_operator(spec, 1, "annihilation").dense()
+        a = build_site_operator(spec, 1, "annihilation", FockBasis(1))
         assert a[0, 1] == pytest.approx(1.0)
         assert a[1, 2] == pytest.approx(np.sqrt(2.0))
         assert np.count_nonzero(a) == 2
 
     def test_leakage_number_diagonal(self):
         spec = LatticeSpec(1, 0.0, 1.0, 0.0)
-        leak = build_site_operator(spec, 1, "leakage_number").dense()
+        leak = build_site_operator(spec, 1, "leakage_number", FockBasis(1))
         assert np.allclose(np.diag(leak), [0.0, 0.0, 1.0])
 
     def test_invalid_site_raises(self):
         spec = LatticeSpec(2, 0.0, 1.0, 0.1)
         with pytest.raises(ValueError):
-            build_site_operator(spec, 3, "number")
+            build_site_operator(spec, 3, "number", FockBasis(2))
 
     def test_number_commutes_with_hamiltonian(self, rng):
         spec = LatticeSpec(3, 10.0, 5.0, 0.7, 2.0)
-        number = np.diag(full_basis(3).occupations.sum(1)).astype(float)
+        basis = FockBasis(3)
+        number = np.diag(basis.occupations.sum(1)).astype(float)
         for seed in range(5):
-            ham = build_bose_hubbard(realize_disorder(spec, seed)).dense()
+            ham = build_bose_hubbard(realize_disorder(spec, seed), basis)
             comm = ham @ number - number @ ham
             assert np.abs(comm).max() < 1e-10
 
@@ -119,7 +125,7 @@ class TestFockBasis:
         oracle = dense_bose_hubbard_oracle(real.omegas, real.anharmonicities, spec.hopping)
         for n_max in (1, 2, 3):
             rows = [i for i, s in enumerate(fock_states(4)) if sum(s) <= n_max]
-            ham = build_bose_hubbard(real, FockBasis(4, 3, n_max)).dense()
+            ham = build_bose_hubbard(real, FockBasis(4, 3, n_max))
             assert np.abs(ham - oracle[np.ix_(rows, rows)]).max() < 1e-12
 
     def test_sector_site_operators_are_full_blocks(self):
@@ -127,18 +133,17 @@ class TestFockBasis:
         rows = [i for i, s in enumerate(fock_states(3)) if sum(s) <= 2]
         sector = FockBasis(3, 3, 2)
         for kind in ("annihilation", "creation", "number", "leakage_number"):
-            full = build_site_operator(spec, 2, kind).dense()
-            block = build_site_operator(spec, 2, kind, sector).dense()
+            full = build_site_operator(spec, 2, kind, FockBasis(3))
+            block = build_site_operator(spec, 2, kind, sector)
             assert np.array_equal(block, full[np.ix_(rows, rows)]), kind
 
     def test_sector_no_jump_hamiltonian_is_the_full_block(self):
         spec = LatticeSpec(3, 2.0, 5.0, 0.4, 1.0)
         real = realize_disorder(spec, 2)
         rows = [i for i, s in enumerate(fock_states(3)) if sum(s) <= 2]
-        full = build_effective_nonhermitian(build_bose_hubbard(real), 3, 0.7, "dissipation")
-        sector = build_effective_nonhermitian(
-            build_bose_hubbard(real, FockBasis(3, 3, 2)), 3, 0.7, "dissipation")
-        assert np.abs(sector.dense() - full.dense()[np.ix_(rows, rows)]).max() < 1e-12
+        full = dissipative_no_jump(real, FockBasis(3), 0.7)
+        sector = dissipative_no_jump(real, FockBasis(3, 3, 2), 0.7)
+        assert np.abs(sector - full[np.ix_(rows, rows)]).max() < 1e-12
 
     def test_basis_must_match_lattice(self):
         spec = LatticeSpec(3, 1.0, 1.0, 0.1)
@@ -154,7 +159,7 @@ class TestBoseHubbard:
         j = 0.21
         spec = LatticeSpec(2, 0.0, u, j)
         real = DisorderRealization.explicit(spec, [0.0, 0.0])
-        ham = build_bose_hubbard(real).dense()
+        ham = build_bose_hubbard(real, FockBasis(2))
         idx20 = 2 * 3 + 0
         idx02 = 0 * 3 + 2
         idx11 = 1 * 3 + 1
@@ -168,14 +173,14 @@ class TestBoseHubbard:
 
     def test_zero_hopping_is_diagonal(self):
         spec = LatticeSpec(2, 5.0, 2.0, 0.0, 1.0)
-        ham = build_bose_hubbard(realize_disorder(spec, 3)).dense()
+        ham = build_bose_hubbard(realize_disorder(spec, 3), FockBasis(2))
         assert np.abs(ham - np.diag(np.diag(ham))).max() == 0.0
 
     def test_matches_enumeration_oracle(self):
         spec = LatticeSpec(3, 9.0, 4.0, 0.8, 3.0)
         for seed in range(5):
             real = realize_disorder(spec, seed)
-            ham = build_bose_hubbard(real).dense()
+            ham = build_bose_hubbard(real, FockBasis(3))
             oracle = dense_bose_hubbard_oracle(real.omegas, real.anharmonicities, spec.hopping)
             evals = np.linalg.eigvalsh(ham)
             evals_oracle = np.linalg.eigvalsh(oracle)
@@ -183,17 +188,17 @@ class TestBoseHubbard:
 
     def test_hermitian_flag_checked(self):
         spec = fig1_spec()
-        ham = build_bose_hubbard(realize_disorder(spec, 0))
-        assert ham.hermitian
-        dense = ham.dense()
-        assert np.abs(dense - dense.conj().T).max() < 1e-12
+        ham = build_bose_hubbard(realize_disorder(spec, 0), FockBasis(3))
+        assert np.abs(ham - ham.conj().T).max() < 1e-12
+        # the scatter refuses entries flagged hermitian that are not
+        with pytest.raises(ValueError, match="not hermitian"):
+            _dense(FockBasis(1), [0], [1], [1.0], hermitian=True)
 
 
 class TestEffectivePropagation:
     def test_two_site_structure(self):
         spec = LatticeSpec(2, 0.0, 10.0, 1.0)
-        real = realize_disorder(spec, 0)
-        mat = build_effective_propagation(real).dense()
+        mat = build_effective_propagation(spec)
         jp = spec.hopping_effective
         assert np.allclose(mat, [[jp, -jp], [-jp, jp]])
 
@@ -203,7 +208,7 @@ class TestEffectivePropagation:
 
     def test_large_anharmonicity_limit(self):
         spec = LatticeSpec(3, 0.0, 1e12, 1.0)
-        mat = build_effective_propagation(realize_disorder(spec, 0)).dense()
+        mat = build_effective_propagation(spec)
         assert np.abs(mat).max() < 1e-11
 
     def test_oscillation_frequency_matches_full_model(self):
@@ -213,7 +218,7 @@ class TestEffectivePropagation:
         u = 250.0
         spec = LatticeSpec(2, 0.0, u, j)
         real = DisorderRealization.explicit(spec, [0.0, 0.0])
-        ham = build_bose_hubbard(real).dense()
+        ham = build_bose_hubbard(real, FockBasis(2))
         psi0 = np.zeros(9, dtype=complex)
         psi0[2 * 3 + 0] = 1.0  # |20>
         t_prop = np.pi / (2 * spec.hopping_effective)
@@ -230,82 +235,56 @@ class TestEffectivePropagation:
 
 
 class TestEffectiveNonHermitian:
-    def test_zero_rate_returns_input(self):
-        spec = fig1_spec()
-        ham = build_bose_hubbard(realize_disorder(spec, 1))
-        assert build_effective_nonhermitian(ham, 3, 0.0, "dissipation") is ham
-
     def test_effective_model_dissipation_matrix(self):
         # one leakage particle carries two bosons: the projector enters with
         # the full rate, matching the exactly solvable two-site model
         spec = LatticeSpec(2, 0.0, 10.0, 1.0)
-        eff = build_effective_propagation(realize_disorder(spec, 0))
         rate = 0.37
-        out = build_effective_nonhermitian(eff, 2, rate, "dissipation").dense()
+        out = build_effective_propagation(spec, rate)
         jp = spec.hopping_effective
         expected = np.array([[jp, -jp], [-jp, jp - 1j * rate]])
         assert np.allclose(out, expected, atol=1e-14)
-        assert not build_effective_nonhermitian(eff, 2, rate, "dissipation").hermitian
-
-    def test_feedback_shifts_identity(self):
-        spec = fig1_spec(length=2)
-        ham = build_bose_hubbard(realize_disorder(spec, 1))
-        rate = 2.5
-        out = build_effective_nonhermitian(ham, 2, rate, "periodic_feedback").dense()
-        assert np.allclose(out, ham.dense() - 0.5j * rate * np.eye(ham.dimension))
+        with pytest.raises(ValueError):
+            build_effective_propagation(spec, -rate)
 
     def test_full_model_dissipation_uses_half_rate_number(self):
         spec = fig1_spec(length=2)
-        ham = build_bose_hubbard(realize_disorder(spec, 4))
+        real = realize_disorder(spec, 4)
+        basis = FockBasis(2)
         rate = 1.3
-        number = build_site_operator(spec, 2, "number").dense()
-        out = build_effective_nonhermitian(ham, 2, rate, "dissipation").dense()
-        assert np.allclose(out, ham.dense() - 0.5j * rate * number)
+        number = build_site_operator(spec, 2, "number", basis)
+        out = dissipative_no_jump(real, basis, rate)
+        assert np.allclose(out, build_bose_hubbard(real, basis) - 0.5j * rate * number)
 
     def test_eigenvalues_have_nonpositive_imag(self, rng):
         spec = fig1_spec(length=2)
+        basis = FockBasis(2)
         for seed in range(6):
-            ham = build_bose_hubbard(realize_disorder(spec, seed))
             rate = float(rng.uniform(0, 50))
-            kind = "dissipation" if seed % 2 else "random_feedback"
-            out = build_effective_nonhermitian(ham, 2, rate, kind)
-            evals = np.linalg.eigvals(out.dense())
+            out = dissipative_no_jump(realize_disorder(spec, seed), basis, rate, site=seed % 2 + 1)
+            evals = np.linalg.eigvals(out)
             assert evals.imag.max() < 1e-9
-
-    def test_invalid_site(self):
-        spec = LatticeSpec(2, 0.0, 10.0, 1.0)
-        eff = build_effective_propagation(realize_disorder(spec, 0))
-        with pytest.raises(ValueError):
-            build_effective_nonhermitian(eff, 5, 1.0, "dissipation")
-
-    def test_unknown_channel_kind_rejected(self):
-        # only the kinds of CHANNEL_KINDS, no "feedback" shorthand
-        ham = build_bose_hubbard(realize_disorder(fig1_spec(length=2), 0))
-        with pytest.raises(ValueError):
-            build_effective_nonhermitian(ham, 2, 1.0, "feedback")
 
 
 class TestStorage:
     def test_every_builder_is_dense(self):
         spec = fig1_spec(length=3)
         real = realize_disorder(spec, 0)
-        ham = build_bose_hubbard(real)
-        sector = FockBasis(3, 3, 2)
+        full, sector = FockBasis(3), FockBasis(3, 3, 2)
         ops = [
-            ham,
-            build_bose_hubbard(real, sector),
-            build_site_operator(spec, 2, "creation", sector),
-            build_effective_propagation(real),
-            build_effective_nonhermitian(ham, 3, 0.5, "dissipation"),
-            build_effective_nonhermitian(ham, 3, 0.5, "random_feedback"),
+            (build_bose_hubbard(real, full), full.dimension),
+            (build_bose_hubbard(real, sector), sector.dimension),
+            (build_site_operator(spec, 2, "creation", sector), sector.dimension),
+            (build_effective_propagation(spec), spec.length),
+            (build_effective_propagation(spec, 0.5), spec.length),
         ]
-        for op in ops:
-            assert isinstance(op.data, np.ndarray)
-            assert op.data.shape == (op.dimension, op.dimension)
+        for op, dimension in ops:
+            assert isinstance(op, np.ndarray)
+            assert op.shape == (dimension, dimension)
         # jump operators are monomials; densified, they are the sector's
         # sqrt(gamma) a_l and sqrt(2 kappa) n_l
         jumps = noise_jump_operators(NoiseModel(0.1, 0.1), spec, sector)
-        expected = [np.sqrt(rate) * build_site_operator(spec, site, kind, sector).data
+        expected = [np.sqrt(rate) * build_site_operator(spec, site, kind, sector)
                     for kind, rate in (("annihilation", 0.1), ("number", 0.2))
                     for site in (1, 2, 3)]
         assert len(jumps) == len(expected)
@@ -323,7 +302,7 @@ class TestStorage:
         tracemalloc.start()
         try:
             with pytest.raises(DimensionBudgetError):
-                build_bose_hubbard(real)
+                build_bose_hubbard(real, FockBasis(8))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -334,7 +313,7 @@ class TestStorage:
         # enumeration-oracle Hamiltonian
         spec = LatticeSpec(2, 3.0, 8.0, 0.5, 1.0)
         real = realize_disorder(spec, 11)
-        ham = build_bose_hubbard(real).dense()
+        ham = build_bose_hubbard(real, FockBasis(2))
         oracle = dense_bose_hubbard_oracle(real.omegas, real.anharmonicities, spec.hopping)
         psi0 = np.zeros(9, dtype=complex)
         psi0[6] = 1.0

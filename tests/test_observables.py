@@ -64,7 +64,7 @@ class TestBatchedForms:
         assert leak.shape == occ.shape == (2, 4, 3)
         for site in range(1, 4):
             for kind, got in (("leakage_number", leak), ("number", occ)):
-                op = build_site_operator(spec, site, kind).dense()
+                op = build_site_operator(spec, site, kind, FockBasis(3))
                 expect = np.einsum("...i,ij,...j->...", amps.conj(), op, amps).real
                 assert np.abs(got[..., site - 1] - expect).max() < 1e-12
 

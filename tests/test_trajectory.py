@@ -38,7 +38,6 @@ from lrusim.lattice import (
     MAX_DIMENSION,
     build_bose_hubbard,
     build_site_operator,
-    full_basis,
     realize_disorder,
 )
 from lrusim.observables import fit_exponential
@@ -255,7 +254,7 @@ class TestOracleSector:
                                             real.anharmonicities[site - 1], 0.25)
             assert weights.min() > 1e-3
             expected = np.kron(expected, np.diag(weights))
-        rho0 = _initial_density(config, real, config.noise, full_basis(3))
+        rho0 = _initial_density(config, real, config.noise, FockBasis(3))
         assert np.max(np.abs(rho0 - expected)) < 1e-15
         # at T = 0 the N <= 1 sector holds all of the plus state
         sector = FockBasis(3, 3, 1)
@@ -281,6 +280,24 @@ class TestOracleSector:
         with pytest.raises(ValueError, match="exceeds budget"):
             solve_master_dense(hot_config(length))
 
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("t_max, dt, stride", [(40.0, 0.02, 1), (6.0, 0.01, 10),
+                                                   (1.0, 0.1, 1), (2.0, 0.1, 4)])
+    def test_grid_ends_at_t_max(self, t_max, dt, stride):
+        config = chain_config("dissipation", 1.0, 1, t_max, dt, stride, None)
+        grid = config.time_grid
+        assert grid[0] == 0.0
+        assert grid[-1] == pytest.approx(t_max, rel=1e-12)
+        assert np.allclose(np.diff(grid), dt * stride, rtol=1e-12)
+
+    @pytest.mark.parametrize("t_max, dt, stride", [(1.0, 0.6, 1), (1.0, 0.3, 1),
+                                                   (1.0, 0.1, 3), (0.05, 0.1, 1)])
+    def test_span_off_the_grid_rejected(self, t_max, dt, stride):
+        # round(t_max / observable_dt) steps would run past t_max or stop short of it
+        with pytest.raises(ValueError, match="multiple"):
+            chain_config("dissipation", 1.0, 1, t_max, dt, stride, None)
 
 
 class TestTemperature:
@@ -320,12 +337,11 @@ class TestLindbladian:
         rows = basis.occupations @ [9, 3, 1]
         ham = dense_bose_hubbard_oracle(real.omegas, real.anharmonicities,
                                         spec.hopping)[np.ix_(rows, rows)]
-        jumps = [math.sqrt(rate) * build_site_operator(spec, site, kind_, basis).dense()
+        jumps = [math.sqrt(rate) * build_site_operator(spec, site, kind_, basis)
                  for kind_, rate in (("annihilation", 0.1), ("number", 0.4))
                  for site in (1, 2, 3)]
         if kind == "dissipation":
-            jumps.append(math.sqrt(2.0) * build_site_operator(spec, 3, "annihilation",
-                                                               basis).dense())
+            jumps.append(math.sqrt(2.0) * build_site_operator(spec, 3, "annihilation", basis))
         else:
             jumps += [math.sqrt(2.0) * k for k in reset_kraus_oracle(basis.occupations, 3)]
 
@@ -341,7 +357,7 @@ def no_jump_system(spec, noise, channel, basis):
     jumps = noise_jump_operators(noise, spec, basis)
     jumps += dissipation_jump_operators(channel, spec, basis)
     decay = decay_rates(jumps, basis.dimension)
-    h_eff = build_bose_hubbard(realize_disorder(spec, 0), basis).dense() - 0.5j * np.diag(decay)
+    h_eff = build_bose_hubbard(realize_disorder(spec, 0), basis) - 0.5j * np.diag(decay)
     return h_eff, decay, eigensystem(h_eff, hermitian=False)
 
 
