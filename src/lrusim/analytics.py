@@ -191,6 +191,13 @@ def diss_norm_general_L(length: int, rate_d: float, j_prop: float, t,
     `regime` is "low" (Gamma << J_prop) or "high" (Gamma >> J_prop);
     `borders` selects the edge-localized closed forms, available for
     lengths 2 and 3 only. Weights sum to one at t = 0.
+
+    The bulk sums (`borders=False`) use the open-chain modes and leave out
+    the J_prop edge detuning of the two end sites that
+    `lattice.build_effective_propagation` keeps. At L = 3..6 they differ
+    from that model's survival norm by about 0.02 in the low regime and
+    0.1-0.2 in the high regime, so treat them as a large-L guide; at L = 2
+    and 3 compare numerics with `borders=True`, which keeps the edge terms.
     """
     if length < 2:
         raise ValueError("length must be >= 2")
@@ -240,11 +247,14 @@ def diss_qubit_times(rate_d: float, hopping: float, detuning_first_last: float,
     tau_1 = (4 d^2 + Gamma^2)/(4 F J^2 Gamma) with the off-resonant
     suppression factor F = prod_n J^2/(omega_1 - omega_n)^2 over the
     intermediate sites; tau_2 = 2 tau_1. Worst protection at Gamma = 2|d|.
+    Needs length >= 2 and exactly length - 2 intermediate detunings.
     """
     if rate_d <= 0 or hopping <= 0:
         raise ValueError("need positive rate and hopping")
+    if length < 2:
+        raise ValueError("length must be >= 2")
     intermediate = list(intermediate_detunings)
-    if length >= 3 and len(intermediate) != length - 2:
+    if len(intermediate) != length - 2:
         raise ValueError("need one intermediate detuning per site 2..L-1")
     if any(x == 0 for x in intermediate):
         raise ValueError("zero intermediate detuning: degenerate perturbation regime")

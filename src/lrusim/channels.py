@@ -109,7 +109,10 @@ def born_probabilities(amplitudes: np.ndarray, basis: FockBasis, site: int) -> n
 
     Batched over the leading axes of `amplitudes` (..., basis.dimension);
     the result has shape (..., d). The states need not be normalized.
+    Raises ValueError unless 1 <= site <= basis.length.
     """
+    if not 1 <= site <= basis.length:
+        raise ValueError(f"site {site} is not in 1..{basis.length}")
     amps = np.asarray(amplitudes)
     levels = basis.occupations[:, site - 1]
     outcome_of_state = (levels[:, None] == np.arange(basis.local_dim)).astype(float)

@@ -51,6 +51,19 @@ def site_expectations(populations, basis: FockBasis) -> tuple[np.ndarray, np.nda
     return pops @ (n * (n - 1.0) / 2.0), pops @ n
 
 
+def chain_series(populations, coherence, basis: FockBasis) -> dict[str, np.ndarray]:
+    """The series the figures of merit are read from, by their result-field names.
+
+    `populations` (..., basis.dimension) and the site-1 coherence (...) are
+    of normalized states; the array's leakage (T*) sums `site_expectations`
+    over the sites, and site 1 gives its leakage, occupation (T1) and
+    coherence (T2).
+    """
+    leak, occ = site_expectations(populations, basis)
+    return {"leakage_total": leak.sum(axis=-1), "leakage_site1": leak[..., 0],
+            "occupation_site1": occ[..., 0], "coherence_site1": coherence}
+
+
 @functools.lru_cache(maxsize=16)
 def _site1_pairs(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
     """Rows of |0, rest> and of |1, rest>, for every rest that has both."""

@@ -69,9 +69,9 @@ from .lattice import (
     realize_disorder,
 )
 from .observables import (
+    chain_series,
     coherence_envelope,
     density_site1_coherence,
-    site_expectations,
     state_site1_coherence,
 )
 from .propagator import eigensystem, evolve
@@ -143,17 +143,6 @@ class SimulationConfig:
 
 
 @dataclass
-class TrajectoryResult:
-    """Observable series of a single trajectory."""
-
-    time_grid: np.ndarray
-    leakage_total: np.ndarray
-    leakage_site1: np.ndarray
-    occupation_site1: np.ndarray
-    coherence_site1: np.ndarray  # complex
-
-
-@dataclass
 class EnsembleObservables:
     """Trajectory-averaged series with standard errors of the mean.
 
@@ -180,7 +169,7 @@ class EnsembleObservables:
 
 @dataclass
 class ModelSeries:
-    """Deterministic observable series (master equation or effective model)."""
+    """Observable series of one trajectory or the master equation."""
 
     time_grid: np.ndarray
     leakage_total: np.ndarray
@@ -361,37 +350,36 @@ class _ChunkEngine:
 
     # -- main loops ---------------------------------------------------------
 
-    def run(self):
+    def run(self) -> dict[str, np.ndarray]:
+        """Each per-trajectory `EnsembleObservables` series, as a (batch, grid) array."""
         grid = self.config.time_grid
-        out = {name: np.empty((self.batch, grid.size)) for name in
-               ("leakage_total", "leakage_site1", "occupation_site1", "envelope")}
-        coh = np.empty((self.batch, grid.size), dtype=complex)
-        self._record(0, out, coh)
+        record = self._record()
+        out = {name: np.empty((self.batch, grid.size), dtype=values.dtype)
+               for name, values in record.items()}
         all_rows = np.arange(self.batch)
-        for g in range(1, grid.size):
-            t_goal = grid[g]
-            while True:
-                pending = self.next_meas <= t_goal + _TIME_EPS * max(t_goal, 1.0)
-                if not pending.any():
-                    break
-                rows = np.nonzero(pending)[0]
-                self._advance_to(rows, self.next_meas[rows])
-                self._measure_rows(rows)
-                self._schedule_next_measurement(rows)
-            self._advance_to(all_rows, np.full(self.batch, t_goal))
-            self._record(g, out, coh)
-        return out, coh
+        for g, t_goal in enumerate(grid):
+            if g > 0:
+                while True:
+                    pending = self.next_meas <= t_goal + _TIME_EPS * max(t_goal, 1.0)
+                    if not pending.any():
+                        break
+                    rows = np.nonzero(pending)[0]
+                    self._advance_to(rows, self.next_meas[rows])
+                    self._measure_rows(rows)
+                    self._schedule_next_measurement(rows)
+                self._advance_to(all_rows, np.full(self.batch, t_goal))
+                record = self._record()
+            for name, values in record.items():
+                out[name][:, g] = values
+        return out
 
-    def _record(self, g: int, out, coh):
+    def _record(self) -> dict[str, np.ndarray]:
         pops = self.psi.real**2 + self.psi.imag**2
         norms = pops.sum(axis=1)
-        leak, occ = site_expectations(pops / norms[:, None], self.basis)
-        c = state_site1_coherence(self.psi, self.basis) / norms
-        out["leakage_total"][:, g] = leak.sum(axis=1)
-        out["leakage_site1"][:, g] = leak[:, 0]
-        out["occupation_site1"][:, g] = occ[:, 0]
-        out["envelope"][:, g] = coherence_envelope(c)
-        coh[:, g] = c
+        series = chain_series(pops / norms[:, None],
+                              state_site1_coherence(self.psi, self.basis) / norms, self.basis)
+        series["coherence_envelope_site1"] = coherence_envelope(series["coherence_site1"])
+        return series
 
 
 def _jump_time(vecs, evals, coeffs, decay, threshold: float, span: float,
@@ -455,17 +443,12 @@ def _sector(config: SimulationConfig) -> FockBasis:
     return FockBasis(spec.length, spec.local_dim, _max_excitations(config))
 
 
-def run_trajectory(config: SimulationConfig, index: int) -> TrajectoryResult:
+def run_trajectory(config: SimulationConfig, index: int) -> ModelSeries:
     """Run one trajectory; deterministic in (master_seed, index)."""
-    engine = _ChunkEngine(config, [index], _sector(config))
-    out, coh = engine.run()
-    return TrajectoryResult(
-        time_grid=config.time_grid,
-        leakage_total=out["leakage_total"][0],
-        leakage_site1=out["leakage_site1"][0],
-        occupation_site1=out["occupation_site1"][0],
-        coherence_site1=coh[0],
-    )
+    series = _ChunkEngine(config, [index], _sector(config)).run()
+    del series["coherence_envelope_site1"]  # 2 |coherence_site1| for one trajectory
+    return ModelSeries(time_grid=config.time_grid,
+                       **{name: values[0] for name, values in series.items()})
 
 
 def run_ensemble(config: SimulationConfig, n_threads: int = 1) -> EnsembleObservables:
@@ -490,37 +473,15 @@ def run_ensemble(config: SimulationConfig, n_threads: int = 1) -> EnsembleObserv
         results = [work(c) for c in chunks]
 
     grid = config.time_grid
-    real_parts = {name: np.concatenate([r[0][name] for r in results], axis=0)
-                  for name in ("leakage_total", "leakage_site1", "occupation_site1", "envelope")}
-    coh = np.concatenate([r[1] for r in results], axis=0)
-
-    def mean_se(stack):
-        mean = stack.mean(axis=0)
-        if stack.shape[0] > 1:
-            se = stack.std(axis=0, ddof=1) / math.sqrt(stack.shape[0])
-        else:
-            se = np.zeros_like(mean)
-        return mean, se
-
-    lt, lt_se = mean_se(real_parts["leakage_total"])
-    l1, l1_se = mean_se(real_parts["leakage_site1"])
-    n1, n1_se = mean_se(real_parts["occupation_site1"])
-    env, env_se = mean_se(real_parts["envelope"])
-    coh_mean = coh.mean(axis=0)
-    if n > 1:
-        spread = (np.abs(coh - coh_mean[None, :]) ** 2).sum(axis=0) / (n - 1)
-        coh_se = np.sqrt(spread / n)
-    else:
-        coh_se = np.zeros(grid.size)
-    return EnsembleObservables(
-        time_grid=grid,
-        leakage_total=lt, leakage_total_se=lt_se,
-        leakage_site1=l1, leakage_site1_se=l1_se,
-        occupation_site1=n1, occupation_site1_se=n1_se,
-        coherence_site1=coh_mean, coherence_site1_se=coh_se,
-        coherence_envelope_site1=env, coherence_envelope_site1_se=env_se,
-        n_trajectories_used=n,
-    )
+    fields = {}
+    for name in results[0]:
+        # the standard error of the mean; for complex series std is the
+        # root-mean |z - mean|^2
+        stack = np.concatenate([r[name] for r in results])
+        fields[name] = stack.mean(axis=0)
+        fields[f"{name}_se"] = (stack.std(axis=0, ddof=1) / math.sqrt(n) if n > 1
+                                else np.zeros(grid.size))
+    return EnsembleObservables(time_grid=grid, n_trajectories_used=n, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +539,7 @@ def _lindbladian(ham: np.ndarray, jumps: list[Monomial]) -> sparse.csr_matrix:
     return gen.tocsr()
 
 
-def solve_master_dense(config: SimulationConfig, t_grid=None,
-                       rtol: float = 1e-9, atol: float = 1e-11) -> ModelSeries:
+def solve_master_dense(config: SimulationConfig) -> ModelSeries:
     """Integrate the Lindblad master equation for one disorder realization.
 
     Intended as a small-system oracle (the density matrix is dense). The
@@ -600,12 +560,13 @@ def solve_master_dense(config: SimulationConfig, t_grid=None,
 
     Every jump and Kraus operator is a `Monomial`, so the whole right-hand
     side is one sparse Lindbladian (`_lindbladian`) over the dim^2 entries
-    of rho, built once; the integrator only multiplies by it.
+    of rho, built once; the integrator only multiplies by it, on
+    `config.time_grid` with rtol 1e-9 and atol 1e-11.
     """
     spec = config.lattice
     basis = _sector(config)
     dim = basis.dimension
-    grid = np.asarray(config.time_grid if t_grid is None else t_grid, dtype=float)
+    grid = config.time_grid
     noise = config.noise or NoiseModel()
     real = realize_disorder(spec, _disorder_seed(config.master_seed, 0))
     ham = build_bose_hubbard(real, basis)
@@ -625,13 +586,11 @@ def solve_master_dense(config: SimulationConfig, t_grid=None,
         return lindbladian @ flat
 
     sol = solve_ivp(rhs, (grid[0], grid[-1]), rho0.ravel(), t_eval=grid,
-                    method="DOP853", rtol=rtol, atol=atol)
+                    method="DOP853", rtol=1e-9, atol=1e-11)
     if not sol.success:
         raise RuntimeError(f"master-equation integration failed: {sol.message}")
 
     rho = sol.y.T.reshape(grid.size, dim, dim)
     rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
-    leak, occ = site_expectations(np.diagonal(rho, axis1=1, axis2=2).real, basis)
-    return ModelSeries(time_grid=grid, leakage_total=leak.sum(axis=1), leakage_site1=leak[:, 0],
-                       occupation_site1=occ[:, 0],
-                       coherence_site1=density_site1_coherence(rho, basis))
+    return ModelSeries(time_grid=grid, **chain_series(np.diagonal(rho, axis1=1, axis2=2).real,
+                                                      density_site1_coherence(rho, basis), basis))

@@ -292,6 +292,14 @@ class TestDissipationQubitTimes:
         with pytest.raises(ValueError):
             diss_qubit_times(1.0, 1.0, 5.0, length=3, intermediate_detunings=[0.0])
 
+    @pytest.mark.parametrize("length, intermediate", [
+        (1, []), (2, [5.0]), (3, []), (3, [5.0, 5.0]), (4, [5.0]),
+    ])
+    def test_intermediate_count_must_match_length(self, length, intermediate):
+        # one detuning per site 2..L-1, none at L = 2
+        with pytest.raises(ValueError):
+            diss_qubit_times(1.0, 1.0, 2.0, length=length, intermediate_detunings=intermediate)
+
 
 class TestLiouvillianGap:
     def test_on_resonance_exceptional_point(self):

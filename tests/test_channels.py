@@ -125,13 +125,21 @@ class TestFeedbackMeasurement:
         psi = amp / np.linalg.norm(amp)
         probs = born_probabilities(psi, basis, 2)
         n_samples = 100_000
-        counts = np.zeros(3)
-        for _ in range(n_samples):
-            _, outcome = measure_and_reset(psi, basis, 2, rng.random())
-            counts[outcome] += 1
-        freq = counts / n_samples
+        _, outcomes = measure_and_reset(np.broadcast_to(psi, (n_samples, 9)), basis, 2,
+                                        rng.random(n_samples))
+        freq = np.bincount(outcomes, minlength=3) / n_samples
         sigma = np.sqrt(probs * (1 - probs) / n_samples)
         assert np.all(np.abs(freq - probs) < 3.5 * sigma + 1e-12)
+
+    @pytest.mark.parametrize("site", [0, 3])
+    def test_site_outside_the_chain_rejected(self, site):
+        # site 0 would index the last site, site L + 1 past the table
+        basis = FockBasis(2)
+        psi = basis_state([0, 2])
+        with pytest.raises(ValueError):
+            born_probabilities(psi, basis, site)
+        with pytest.raises(ValueError):
+            measure_and_reset(psi, basis, site, 0.5)
 
     def test_measured_site_occupation_is_zero(self, rng):
         spec = LatticeSpec(3, 2.0, 1.5, 0.2, 0.5)

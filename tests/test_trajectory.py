@@ -12,6 +12,7 @@ in the full space.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,10 +144,27 @@ class TestDeterminism:
         # random feedback from the plus state also jumps and dephases
         config = short_config("random_feedback", "plus")
         ens = run_ensemble(config)
-        singles = [run_trajectory(config, i) for i in range(config.n_trajectories)]
-        for name in ("leakage_total", "leakage_site1", "occupation_site1", "coherence_site1"):
-            mean = np.mean([getattr(s, name) for s in singles], axis=0)
+        n = config.n_trajectories
+        singles = [run_trajectory(config, i) for i in range(n)]
+        stacks = {name: np.array([getattr(s, name) for s in singles]) for name in
+                  ("leakage_total", "leakage_site1", "occupation_site1", "coherence_site1")}
+        stacks["coherence_envelope_site1"] = 2.0 * np.abs(stacks["coherence_site1"])
+        for name, stack in stacks.items():
+            mean = stack.mean(axis=0)
+            se = np.sqrt((np.abs(stack - mean) ** 2).sum(axis=0) / (n * (n - 1)))
             assert np.max(np.abs(mean - getattr(ens, name))) < 1e-12, name
+            assert np.max(np.abs(se - getattr(ens, name + "_se"))) < 1e-12, name
+
+    def test_one_trajectory_has_zero_standard_errors(self):
+        config = replace(short_config("random_feedback", "plus"), n_trajectories=1)
+        ens = run_ensemble(config)
+        single = run_trajectory(config, 0)
+        for name, value in vars(single).items():
+            assert np.array_equal(value, getattr(ens, name)), name
+        errors = {name: value for name, value in vars(ens).items() if name.endswith("_se")}
+        assert len(errors) == 5
+        for name, value in errors.items():
+            assert np.all(np.isfinite(value)) and not np.any(value), name
 
 
 def full_space(config):
