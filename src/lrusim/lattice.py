@@ -118,6 +118,10 @@ class DisorderRealization:
     seed: int
 
     def __post_init__(self):
+        for name in ("omegas", "anharmonicities"):
+            if np.shape(getattr(self, name)) != (self.spec.length,):
+                raise ValueError(f"{name} must have shape ({self.spec.length},), "
+                                 f"got {np.shape(getattr(self, name))}")
         e2 = 2.0 * self.omegas - self.anharmonicities
         if np.max(np.abs(e2 - self.spec.second_level_energy)) > 1e-9 * max(
             1.0, abs(self.spec.second_level_energy)

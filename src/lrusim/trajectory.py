@@ -23,6 +23,17 @@ vector d (`channels.decay_rates`).
 The integrator is event-driven: between feedback measurements and
 observable grid points the state advances with the cached exact
 eigendecomposition of the (generally non-Hermitian) no-jump Hamiltonian.
+Stretches of the grid without an event are evaluated a block at a time:
+every unfinished trajectory's no-jump state at its next K grid points is
+one batched matmul of its eigenbasis coefficients, phased by factors
+exp(-i lambda k observable_dt) computed once per chunk, and all of those
+points are recorded at once. A block ends a trajectory's stretch at its
+first event: a feedback measurement due at or before a grid point, or a
+no-jump norm below its jump threshold (the norm never increases between
+jumps, so the first such grid point follows the jump). That grid point
+is stepped on its own: measurements due at or before it are applied
+first, each after the jumps before it, then the state advances to the
+grid point, resolving jumps on the way, and only then is it recorded.
 Quantum jumps follow the waiting-time rule (Dalibard, Castin and Molmer,
 PRL 68, 580 (1992)): a trajectory jumps when its no-jump norm falls to a
 uniform threshold. The crossing time is solved by a bracketed Newton
@@ -91,6 +102,11 @@ CODING_STATES = {
 }
 
 _TIME_EPS = 1e-9
+
+#: Complex entries of one block of no-jump states (trajectories x grid
+#: points x sector dimension). The block length follows from this and the
+#: chunk's shape only, never from the worker count.
+_BLOCK_ENTRIES = 2**15
 
 #: The jump-time solve stops once |log(||psi||^2 / threshold)| is this small,
 #: or when its bracket is down to adjacent floats, or after this many norm
@@ -348,36 +364,91 @@ class _ChunkEngine:
             self.next_meas[r] = next_measurement(self.channel, self.config.dt,
                                                  self.meas_rngs[r], float(self.next_meas[r]))
 
-    # -- main loops ---------------------------------------------------------
+    # -- main loop -----------------------------------------------------------
 
     def run(self) -> dict[str, np.ndarray]:
-        """Each per-trajectory `EnsembleObservables` series, as a (batch, grid) array."""
+        """Each per-trajectory `EnsembleObservables` series, as a (batch, grid) array.
+
+        Each iteration evaluates every unfinished row's no-jump state at its
+        next K grid points (`_no_jump_block`) and records the points before
+        the row's first event. The event's grid point goes through
+        `_step_to`: a measurement at or before a grid point is applied
+        before that point is recorded. Every row meets its events in time
+        order and draws from its own streams, so K changes a result only by
+        round-off.
+        """
         grid = self.config.time_grid
-        record = self._record()
-        out = {name: np.empty((self.batch, grid.size), dtype=values.dtype)
-               for name, values in record.items()}
-        all_rows = np.arange(self.batch)
-        for g, t_goal in enumerate(grid):
-            if g > 0:
-                while True:
-                    pending = self.next_meas <= t_goal + _TIME_EPS * max(t_goal, 1.0)
-                    if not pending.any():
-                        break
-                    rows = np.nonzero(pending)[0]
-                    self._advance_to(rows, self.next_meas[rows])
-                    self._measure_rows(rows)
-                    self._schedule_next_measurement(rows)
-                self._advance_to(all_rows, np.full(self.batch, t_goal))
-                record = self._record()
-            for name, values in record.items():
-                out[name][:, g] = values
+        size = grid.size
+        first = self._series(self.psi)
+        out = {name: np.empty((self.batch, size), dtype=values.dtype)
+               for name, values in first.items()}
+        for name, values in first.items():
+            out[name][:, 0] = values
+        offsets = np.arange(_block_length(self.batch, self.dim, size))
+        steps = np.exp(-1j * self.evals[:, None, :]
+                       * (offsets * self.config.observable_dt)[:, None])
+        upcoming = np.ones(self.batch, dtype=int)  # each row's next grid index
+        while (rows := np.nonzero(upcoming < size)[0]).size:
+            # a slice views the whole batch where an index array would copy it
+            sel = slice(None) if rows.size == self.batch else rows
+            index = upcoming[sel, None] + offsets
+            on_grid = index < size
+            times = grid[np.minimum(index, size - 1)]
+            amps = self._no_jump_block(sel, times[:, 0], steps[sel])
+            norms = (np.einsum("rki,rki->rk", amps.real, amps.real)
+                     + np.einsum("rki,rki->rk", amps.imag, amps.imag))
+            due = self.next_meas[sel, None] <= times + _TIME_EPS * np.maximum(times, 1.0)
+            # the no-jump norm never increases, so the first grid point below
+            # the jump threshold is the first one after the jump
+            event = (due | (norms < self.thresholds[sel, None])) & on_grid
+            has_event = event.any(axis=1)
+            stop = np.where(has_event, event.argmax(axis=1), on_grid.sum(axis=1))
+
+            local, ks = np.nonzero(offsets < stop[:, None])
+            recorded = amps[local, ks]
+            moved = np.nonzero(stop)[0]
+            self.psi[rows[moved]] = amps[moved, stop[moved] - 1]
+            self.t_cur[rows[moved]] = times[moved, stop[moved] - 1]
+            del amps  # the largest array of an iteration; the series need only `recorded`
+            for name, values in self._series(recorded).items():
+                out[name][rows[local], index[local, ks]] = values
+            upcoming[rows] += stop
+
+            events = rows[has_event]
+            if events.size:
+                for name, values in self._step_to(events, grid[upcoming[events]]).items():
+                    out[name][events, upcoming[events]] = values
+                upcoming[events] += 1
         return out
 
-    def _record(self) -> dict[str, np.ndarray]:
-        pops = self.psi.real**2 + self.psi.imag**2
-        norms = pops.sum(axis=1)
-        series = chain_series(pops / norms[:, None],
-                              state_site1_coherence(self.psi, self.basis) / norms, self.basis)
+    def _no_jump_block(self, rows, t_first: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """No-jump states (rows, K, dim) of `rows` at t_first + k observable_dt, k < K.
+
+        `steps` holds exp(-i lambda k observable_dt) of the same rows; the
+        coefficients V^-1 psi are phased from t_cur to t_first once.
+        """
+        coeffs = np.matmul(self.vinv[rows], self.psi[rows, :, None])[:, :, 0]
+        lead = np.maximum(t_first - self.t_cur[rows], 0.0)
+        coeffs *= np.exp(-1j * self.evals[rows] * lead[:, None])
+        return np.matmul(coeffs[:, None, :] * steps, self.vecs[rows].swapaxes(-1, -2))
+
+    def _step_to(self, rows: np.ndarray, targets: np.ndarray) -> dict[str, np.ndarray]:
+        """Step rows to their grid points `targets` through every event, and their series there."""
+        eps = _TIME_EPS * np.maximum(targets, 1.0)
+        while (pending := self.next_meas[rows] <= targets + eps).any():
+            measured = rows[pending]
+            self._advance_to(measured, self.next_meas[measured])
+            self._measure_rows(measured)
+            self._schedule_next_measurement(measured)
+        self._advance_to(rows, targets)
+        return self._series(self.psi[rows])
+
+    def _series(self, amps: np.ndarray) -> dict[str, np.ndarray]:
+        """The recorded series of states `amps` (..., dim), over leading axes."""
+        pops = amps.real**2 + amps.imag**2
+        norms = pops.sum(axis=-1)
+        series = chain_series(pops / norms[..., None],
+                              state_site1_coherence(amps, self.basis) / norms, self.basis)
         series["coherence_envelope_site1"] = coherence_envelope(series["coherence_site1"])
         return series
 
@@ -423,6 +494,12 @@ def _jump_time(vecs, evals, coeffs, decay, threshold: float, span: float,
 
 def _chunk_size(dim: int) -> int:
     return max(1, min(256, _CHUNK_ENTRY_BUDGET // (dim * dim)))
+
+
+def _block_length(batch: int, dim: int, grid_size: int) -> int:
+    """Grid points K per no-jump block of a (batch, dim) chunk: within
+    `_BLOCK_ENTRIES`, and never past the grid's last point."""
+    return max(1, min(_BLOCK_ENTRIES // (batch * dim), grid_size - 1))
 
 
 def _max_excitations(config: SimulationConfig) -> int:

@@ -72,6 +72,13 @@ class TestDisorder:
             resid = np.abs(2 * real.omegas - real.anharmonicities - spec.second_level_energy)
             assert resid.max() < 1e-12 * scale
 
+    @pytest.mark.parametrize("omegas", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
+    def test_explicit_rejects_wrong_length(self, omegas):
+        # a short or long array used to pass here and fail later inside
+        # build_bose_hubbard with a bare matmul shape error
+        with pytest.raises(ValueError, match=r"omegas must have shape \(3,\)"):
+            DisorderRealization.explicit(LatticeSpec(3, 0.0, 10.0, 1.0), omegas)
+
 
 class TestSiteOperators:
     def test_annihilation_matrix_elements(self):

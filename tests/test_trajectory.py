@@ -5,10 +5,10 @@ measurements at their scheduled times, so its only error is statistical.
 The oracle tests bound that error point by point against the master
 equation, whose sparse generator is checked against a dense Lindblad
 right-hand side and whose decay rates are checked against the paper's
-closed forms; the determinism tests pin that chunking and threading never
-change a result. The sector tests pin that running in the N <= N_max
-excitation sector gives what the same engine, or the same oracle, gives
-in the full space.
+closed forms; the determinism and block-length tests pin that chunking,
+threading and the engine's block length never change a result. The
+sector tests pin that running in the N <= N_max excitation sector gives
+what the same engine, or the same oracle, gives in the full space.
 """
 
 import math
@@ -33,6 +33,7 @@ from lrusim.channels import (
     decay_rates,
     dissipation_jump_operators,
     local_thermal_weights,
+    next_measurement,
     noise_jump_operators,
 )
 from lrusim.lattice import (
@@ -44,11 +45,13 @@ from lrusim.lattice import (
 from lrusim.observables import fit_exponential
 from lrusim.propagator import eigensystem, evolve
 from lrusim.trajectory import (
+    _block_length,
     _chunk_size,
     _disorder_seed,
     _initial_density,
     _jump_time,
     _reset_kraus,
+    _stream,
 )
 
 from conftest import (
@@ -165,6 +168,56 @@ class TestDeterminism:
         assert len(errors) == 5
         for name, value in errors.items():
             assert np.all(np.isfinite(value)) and not np.any(value), name
+
+
+BLOCK_CONFIGS = {
+    # 1/rate = 0.1 < observable_dt = 0.2: several measurements per interval
+    "periodic": chain_config("periodic_feedback", 10.0, 64, 12.0, 0.05, 4,
+                             NoiseModel(0.05, 0.05), seed=2),
+    # geometric gaps of k dt put every measurement on a grid point
+    "random": chain_config("random_feedback", 2.0, 64, 3.0, 0.05, 1,
+                           NoiseModel(0.05, 0.05), seed=2),
+    # no measurements: relaxation, dephasing and dissipation jumps
+    "plus": chain_config("dissipation", 1.0, 64, 8.0, 0.05, 1, NoiseModel(0.05, 0.05),
+                         seed=2, coding="plus"),
+}
+
+
+class TestBlockLength:
+    """The no-jump block length K changes the cost of a run, never its result."""
+
+    @pytest.mark.parametrize("entries", [1, 10**9], ids=["one-point", "whole-grid"])
+    @pytest.mark.parametrize("name", list(BLOCK_CONFIGS))
+    def test_block_length_does_not_change_result(self, monkeypatch, name, entries):
+        config = BLOCK_CONFIGS[name]
+        dim = lrusim.trajectory._sector(config).dimension
+        size = config.time_grid.size
+        # one chunk, whose default block is neither one point nor the whole grid
+        assert config.n_trajectories <= _chunk_size(dim)
+        assert 1 < _block_length(config.n_trajectories, dim, size) < size - 1
+        default = run_ensemble(config)
+        monkeypatch.setattr(lrusim.trajectory, "_BLOCK_ENTRIES", entries)
+        assert _block_length(config.n_trajectories, dim, size) == (1 if entries == 1
+                                                                   else size - 1)
+        other = run_ensemble(config)
+        for field, value in vars(default).items():
+            assert np.max(np.abs(np.asarray(value) - getattr(other, field))) < 1e-12, field
+
+    # 8 trajectories of 3 states: K = 1, 5 and the whole grid
+    @pytest.mark.parametrize("entries", [1, 5 * 8 * 3, 10**9])
+    def test_measurement_at_a_grid_point_comes_before_its_record(self, monkeypatch, entries):
+        # one site holding |2>, no noise: the leakage is 1 until the first
+        # measurement resets the site, and random-feedback times are grid points
+        monkeypatch.setattr(lrusim.trajectory, "_BLOCK_ENTRIES", entries)
+        config = SimulationConfig(lattice=LatticeSpec(1, 0.0, 10.0, 1.0),
+                                  channel=ResetChannel("random_feedback", 2.0),
+                                  t_max=3.0, dt=0.05, n_trajectories=8, master_seed=3)
+        first = np.array([next_measurement(config.channel, config.dt, _stream(3, i, 2))
+                          for i in range(config.n_trajectories)])
+        assert np.all(first < config.t_max)
+        ens = run_ensemble(config)
+        leaked = config.time_grid[:, None] < first - 1e-6
+        assert np.max(np.abs(ens.leakage_total - leaked.mean(axis=1))) < 1e-12
 
 
 def full_space(config):
