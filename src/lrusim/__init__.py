@@ -10,7 +10,6 @@ oracle, decay-time extraction and the closed-form two-site analytics.
 """
 
 from .analytics import (
-    TwoSiteParams,
     disintegration_frequency,
     disintegration_threshold,
     diss_norm_exact_L2,
@@ -65,7 +64,6 @@ __all__ = [
     "NoiseModel",
     "ResetChannel",
     "SimulationConfig",
-    "TwoSiteParams",
     "build_bose_hubbard",
     "build_effective_propagation",
     "build_site_operator",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, newton
@@ -26,40 +25,29 @@ GOLDEN_A = -(1.0 - math.sqrt(5.0)) / 2.0  # edge-localized L=3 constants
 GOLDEN_B = -(1.0 + math.sqrt(5.0)) / 2.0
 
 
-@dataclass(frozen=True)
-class TwoSiteParams:
-    """Parameters of the minimal two-transmon unit."""
+def disintegration_frequency(anharmonicity: float, hopping: float) -> float:
+    """Oscillation frequency sqrt(U^2 + 16 J^2) between the anharmonicity manifolds.
 
-    anharmonicity: float  # mean U
-    hopping: float  # J
-    detuning: float = 0.0  # omega_1 - omega_2
-    rate: float = 0.0  # reset channel rate
-
-    def __post_init__(self):
-        if self.anharmonicity <= 0:
-            raise ValueError("anharmonicity must be positive")
-        if self.hopping < 0 or self.rate < 0:
-            raise ValueError("hopping and rate must be non-negative")
-
-    @property
-    def hopping_effective(self) -> float:
-        return 2.0 * self.hopping**2 / self.anharmonicity
+    Raises ValueError unless U > 0 and J >= 0.
+    """
+    if anharmonicity <= 0:
+        raise ValueError("anharmonicity must be positive")
+    if hopping < 0:
+        raise ValueError("hopping must be non-negative")
+    return math.hypot(anharmonicity, 4.0 * hopping)
 
 
-def disintegration_frequency(p: TwoSiteParams) -> float:
-    """Oscillation frequency between the anharmonicity manifolds."""
-    return math.hypot(p.anharmonicity, 4.0 * p.hopping)
-
-
-def two_site_populations(p: TwoSiteParams, t: float, initial: str = "localized"):
+def two_site_populations(anharmonicity: float, hopping: float, t: float,
+                         initial: str = "localized"):
     """Unitary populations (rho_20, rho_02, rho_11) of the two-excitation sector.
 
     `initial` is "localized" for a leakage pair on site 1 or "symmetric" for
     (|20> + |02>)/sqrt(2). Closed forms of the resonant 3x3 sector; the sum
-    of the three populations is one.
+    of the three populations is one. Raises ValueError unless U > 0 and
+    J >= 0.
     """
-    u, j = p.anharmonicity, p.hopping
-    w = disintegration_frequency(p)
+    u, j = anharmonicity, hopping
+    w = disintegration_frequency(u, j)
     if initial == "symmetric":
         p_star = u**2 / (2 * w**2) * (1 - np.cos(w * t)) + 0.5 * (1 + np.cos(w * t))
         r11 = 8 * j**2 / w**2 * (1 - np.cos(w * t))

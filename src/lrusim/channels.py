@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (
+    LEVELS,
     DisorderRealization,
     FockBasis,
-    LatticeSpec,
     Monomial,
     site_monomial,
 )
@@ -51,10 +51,10 @@ class ResetChannel:
         if self.rate < 0:
             raise ValueError("rate must be non-negative")
 
-    def site_index(self, spec: LatticeSpec) -> int:
-        site = self.site if self.site is not None else spec.length
-        if not 1 <= site <= spec.length:
-            raise ValueError(f"site {site} outside 1..{spec.length}")
+    def site_index(self, length: int) -> int:
+        site = self.site if self.site is not None else length
+        if not 1 <= site <= length:
+            raise ValueError(f"site {site} outside 1..{length}")
         return site
 
     @property
@@ -108,14 +108,14 @@ def born_probabilities(amplitudes: np.ndarray, basis: FockBasis, site: int) -> n
     """Probabilities of the local occupation outcomes at `site` (1-based).
 
     Batched over the leading axes of `amplitudes` (..., basis.dimension);
-    the result has shape (..., d). The states need not be normalized.
-    Raises ValueError unless 1 <= site <= basis.length.
+    the result has shape (..., 3), one column per level. The states need
+    not be normalized. Raises ValueError unless 1 <= site <= basis.length.
     """
     if not 1 <= site <= basis.length:
         raise ValueError(f"site {site} is not in 1..{basis.length}")
     amps = np.asarray(amplitudes)
     levels = basis.occupations[:, site - 1]
-    outcome_of_state = (levels[:, None] == np.arange(basis.local_dim)).astype(float)
+    outcome_of_state = (levels[:, None] == np.arange(LEVELS)).astype(float)
     probs = (amps.real**2 + amps.imag**2) @ outcome_of_state
     total = probs.sum(axis=-1, keepdims=True)
     if np.any(total <= 0):
@@ -139,7 +139,7 @@ def measure_and_reset(amplitudes: np.ndarray, basis: FockBasis, site: int,
     probs = np.where(probs > PROJECTION_EPS, probs, 0.0)
     cums = np.cumsum(probs / probs.sum(axis=-1, keepdims=True), axis=-1)
     outcomes = np.minimum((cums <= np.asarray(draws)[..., None]).sum(axis=-1),
-                          basis.local_dim - 1)
+                          LEVELS - 1)
 
     flat = amps.reshape(-1, basis.dimension)
     rows, states = np.nonzero(basis.occupations[:, site - 1] == outcomes.reshape(-1, 1))
@@ -158,8 +158,7 @@ def _emptied(basis: FockBasis, site: int) -> np.ndarray:
     return rows
 
 
-def noise_jump_operators(model: NoiseModel, spec: LatticeSpec,
-                         basis: FockBasis) -> list[Monomial]:
+def noise_jump_operators(model: NoiseModel, basis: FockBasis) -> list[Monomial]:
     """Per-site Lindblad jump operators for relaxation and dephasing, in `basis`.
 
     Relaxation: sqrt(gamma) a_l. Dephasing: sqrt(2 kappa) n_l -- the factor
@@ -167,22 +166,21 @@ def noise_jump_operators(model: NoiseModel, spec: LatticeSpec,
     number operator. Returns 2L operators when both rates are positive,
     relaxation first, each in its Monomial form.
     """
-    basis.check(spec)
     ops: list[Monomial] = []
     for kind, rate in (("annihilation", model.relaxation_rate),
                        ("number", 2.0 * model.dephasing_rate)):
         if rate > 0:
             ops += [_with_rate(site_monomial(basis, site, kind), rate)
-                    for site in range(1, spec.length + 1)]
+                    for site in range(1, basis.length + 1)]
     return ops
 
 
-def dissipation_jump_operators(channel: ResetChannel | None, spec: LatticeSpec,
+def dissipation_jump_operators(channel: ResetChannel | None,
                                basis: FockBasis) -> list[Monomial]:
     """The engineered-dissipation jump sqrt(Gamma) a_site, if `channel` is one with Gamma > 0."""
     if channel is None or channel.kind != "dissipation" or channel.rate == 0:
         return []
-    return [_with_rate(site_monomial(basis, channel.site_index(spec), "annihilation"),
+    return [_with_rate(site_monomial(basis, channel.site_index(basis.length), "annihilation"),
                     channel.rate)]
 
 
@@ -202,18 +200,18 @@ def decay_rates(jumps: list[Monomial], dimension: int) -> np.ndarray:
                        minlength=dimension)
 
 
-def local_thermal_weights(omega: float, anharmonicity: float, temperature: float,
-                          d: int = 3) -> np.ndarray:
-    """Boltzmann weights of the local levels n = 0..d-1, renormalized.
+def local_thermal_weights(omega: float, anharmonicity: float,
+                          temperature: float) -> np.ndarray:
+    """Boltzmann weights of the local levels n = 0, 1, 2, renormalized.
 
     Level energies are omega*n - (U/2) n (n-1), the J = 0 on-site spectrum.
-    At T > 0 they must increase with n (omega > 0 and omega - U > 0 for a
-    qutrit), as lab-frame energies do; otherwise ValueError.
+    At T > 0 they must increase with n (omega > 0 and omega - U > 0), as
+    lab-frame energies do; otherwise ValueError.
     """
-    n = np.arange(d, dtype=float)
+    n = np.arange(LEVELS, dtype=float)
     energies = omega * n - 0.5 * anharmonicity * n * (n - 1.0)
     if temperature == 0:
-        weights = np.zeros(d)
+        weights = np.zeros(LEVELS)
         weights[0] = 1.0
         return weights
     if np.any(np.diff(energies) <= 0):
@@ -233,27 +231,26 @@ def sample_thermal_initial(real: DisorderRealization, model: NoiseModel,
     """Initial chain amplitudes: coding state on site 1, Gibbs-sampled idle sites.
 
     Sites 2..L are drawn independently from the J = 0 Boltzmann weights of
-    their local levels (truncated at n = d-1 and renormalized); each call
+    their local levels (truncated at n = 2 and renormalized); each call
     returns one sampled product eigenstate, not the averaged Gibbs state,
     with amplitudes over `basis`. Raises ValueError if the coding state is
     zero or the state has weight outside the basis.
     """
     spec = real.spec
     coding = np.asarray(coding_state, dtype=complex).ravel()
-    if coding.size != spec.local_dim:
+    if coding.size != LEVELS:
         raise ValueError("coding state must be a single-site vector")
     norm = np.linalg.norm(coding)
     if norm == 0:
         raise ValueError("coding state must be non-zero")
-    occupations = np.zeros((spec.local_dim, spec.length), dtype=np.int64)
-    occupations[:, 0] = np.arange(spec.local_dim)
+    occupations = np.zeros((LEVELS, spec.length), dtype=np.int64)
+    occupations[:, 0] = np.arange(LEVELS)
     for site in range(2, spec.length + 1):
         weights = local_thermal_weights(
-            real.omegas[site - 1], real.anharmonicities[site - 1],
-            model.temperature, spec.local_dim,
+            real.omegas[site - 1], real.anharmonicities[site - 1], model.temperature,
         )
         level = int(np.searchsorted(np.cumsum(weights), rng.random(), side="right"))
-        occupations[:, site - 1] = min(level, spec.local_dim - 1)
+        occupations[:, site - 1] = min(level, LEVELS - 1)
     basis.check(spec)
     rows = basis.index(occupations)
     inside = rows >= 0

@@ -8,7 +8,7 @@ the single-excitation levels are detuned site to site while the two-boson
 ("leakage") level stays resonant across the chain.
 
 Every chain operator is a plain dense ndarray over a `FockBasis` the caller
-passes: the full d**L space, `FockBasis(L)`, or one of its
+passes: the full 3**L space, `FockBasis(L)`, or one of its
 excitation-number sectors, with matrix elements read off the basis
 occupation table. The one operator not over a `FockBasis` is the L x L
 effective model of a single leakage pair
@@ -30,6 +30,9 @@ from .units import angular_from_mhz
 #: per trajectory and the oracle integrates dimension**2 density entries,
 #: both over such a basis, so this is the one size limit of the package.
 MAX_DIMENSION = 729
+
+#: Levels per site: the qubit pair |0>, |1> and the leakage level |2>.
+LEVELS = 3
 
 HERMITICITY_TOL = 1e-12
 
@@ -56,8 +59,6 @@ class LatticeSpec:
         Nearest-neighbor hopping rate J, rad/us.
     disorder : float
         Disorder strength W of the first-level spread, rad/us.
-    local_dim : int
-        Local Hilbert space dimension, 3 (qutrit) unless overridden.
     """
 
     length: int
@@ -65,20 +66,17 @@ class LatticeSpec:
     mean_anharmonicity: float
     hopping: float
     disorder: float = 0.0
-    local_dim: int = 3
 
     def __post_init__(self):
         if self.length < 1:
             raise ValueError("length must be >= 1")
-        if self.local_dim < 3:
-            raise ValueError("local_dim must be >= 3")
         if self.hopping < 0 or self.disorder < 0:
             raise ValueError("hopping and disorder must be non-negative")
         if self.mean_anharmonicity <= 0:
             raise ValueError("mean_anharmonicity must be positive")
 
     @classmethod
-    def from_mhz(cls, length, f_mhz, u_mhz, j_mhz, w_mhz=0.0, local_dim=3):
+    def from_mhz(cls, length, f_mhz, u_mhz, j_mhz, w_mhz=0.0):
         """Build a spec from ordinary frequencies in MHz (times in us)."""
         return cls(
             length=length,
@@ -86,12 +84,7 @@ class LatticeSpec:
             mean_anharmonicity=angular_from_mhz(u_mhz),
             hopping=angular_from_mhz(j_mhz),
             disorder=angular_from_mhz(w_mhz),
-            local_dim=local_dim,
         )
-
-    @property
-    def dimension(self) -> int:
-        return self.local_dim**self.length
 
     @property
     def hopping_effective(self) -> float:
@@ -156,32 +149,31 @@ def realize_disorder(spec: LatticeSpec, seed: int) -> DisorderRealization:
 class FockBasis:
     """Occupation table of the Fock states |n_1 ... n_L> with N = sum_l n_l <= max_excitations.
 
-    Rows keep the order of the full d**L Kronecker space, site 1 most
-    significant; with max_excitations = L (d - 1), the default, the table
-    is the full space itself. The Hamiltonian conserves N and every jump
+    Rows keep the order of the full 3**L Kronecker space, site 1 most
+    significant; with max_excitations = 2L, the default, the table is the
+    full space itself. The Hamiltonian conserves N and every jump
     and reset lowers it, so all of them act inside one such sector.
     """
 
-    def __init__(self, length: int, local_dim: int = 3, max_excitations: int | None = None):
-        full = length * (local_dim - 1)
+    def __init__(self, length: int, max_excitations: int | None = None):
+        full = length * (LEVELS - 1)
         max_excitations = full if max_excitations is None else min(max_excitations, full)
-        if length < 1 or local_dim < 2 or max_excitations < 0:
-            raise ValueError("need length >= 1, local_dim >= 2 and max_excitations >= 0")
-        if local_dim**length > 2**62:
+        if length < 1 or max_excitations < 0:
+            raise ValueError("need length >= 1 and max_excitations >= 0")
+        if LEVELS**length > 2**62:
             raise ValueError("full-space indices would overflow 64 bits")
         occ = np.zeros((1, 0), dtype=np.int64)
         for _ in range(length):
-            occ = np.column_stack([np.repeat(occ, local_dim, axis=0),
-                                   np.tile(np.arange(local_dim), len(occ))])
+            occ = np.column_stack([np.repeat(occ, LEVELS, axis=0),
+                                   np.tile(np.arange(LEVELS), len(occ))])
             occ = occ[occ.sum(axis=1) <= max_excitations]
             if len(occ) > MAX_DIMENSION:
                 raise DimensionBudgetError(f"basis exceeds budget {MAX_DIMENSION}")
         self.length = length
-        self.local_dim = local_dim
         self.max_excitations = max_excitations
         #: (dimension, L) occupations, one row per basis state
         self.occupations = occ
-        self._place = local_dim ** np.arange(length - 1, -1, -1)
+        self._place = LEVELS ** np.arange(length - 1, -1, -1)
         # full-space index of every row, ascending because the order is kept
         self._codes = occ @ self._place
         occ.flags.writeable = False
@@ -195,7 +187,7 @@ class FockBasis:
         occ = np.asarray(occupations)
         codes = occ @ self._place
         rows = np.minimum(np.searchsorted(self._codes, codes), self.dimension - 1)
-        inside = (self._codes[rows] == codes) & ((occ >= 0) & (occ < self.local_dim)).all(-1)
+        inside = (self._codes[rows] == codes) & ((occ >= 0) & (occ < LEVELS)).all(-1)
         return np.where(inside, rows, -1)
 
     def transitions(self, change: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -211,8 +203,8 @@ class FockBasis:
         return src, target[src]
 
     def check(self, spec: LatticeSpec):
-        if (self.length, self.local_dim) != (spec.length, spec.local_dim):
-            raise ValueError("basis and lattice disagree on length or local dimension")
+        if self.length != spec.length:
+            raise ValueError("basis and lattice disagree on length")
 
 
 def _dense(basis: FockBasis, rows, cols, values, hermitian: bool) -> np.ndarray:
@@ -262,13 +254,11 @@ def site_monomial(basis: FockBasis, site: int, kind: str) -> Monomial:
     return Monomial(src, dst, np.sqrt(n[src] if lowering else n[src] + 1.0))
 
 
-def build_site_operator(spec: LatticeSpec, site: int, kind: str,
-                        basis: FockBasis) -> np.ndarray:
+def build_site_operator(basis: FockBasis, site: int, kind: str) -> np.ndarray:
     """Local operator at `site` (1-based) as a dense matrix over `basis`.
 
     The dense form of `site_monomial`.
     """
-    basis.check(spec)
     op = site_monomial(basis, site, kind)
     return _dense(basis, op.dst, op.src, op.amp,
                   hermitian=kind in ("number", "leakage_number"))

@@ -71,6 +71,7 @@ from .channels import (
     sample_thermal_initial,
 )
 from .lattice import (
+    LEVELS,
     DisorderRealization,
     FockBasis,
     LatticeSpec,
@@ -142,8 +143,6 @@ class SimulationConfig:
             raise ValueError("t_max must be a multiple of observable_stride * dt")
         if self.initial_coding_state not in CODING_STATES:
             raise ValueError(f"unknown coding state {self.initial_coding_state!r}")
-        if self.lattice.local_dim != 3:
-            raise ValueError("the engine is written for qutrit chains")
 
     @property
     def observable_dt(self) -> float:
@@ -223,7 +222,7 @@ class _ChunkEngine:
         self.batch = len(self.indices)
         self.channel = config.channel
         self.noise = config.noise or NoiseModel()
-        self.site = self.channel.site_index(spec) if self.channel else spec.length
+        self.site = self.channel.site_index(spec.length) if self.channel else spec.length
 
         self._build_jump_operators()
         self._build_states_and_hamiltonians()
@@ -233,8 +232,8 @@ class _ChunkEngine:
     # -- setup ------------------------------------------------------------
 
     def _build_jump_operators(self):
-        jumps = noise_jump_operators(self.noise, self.spec, self.basis)
-        jumps += dissipation_jump_operators(self.channel, self.spec, self.basis)
+        jumps = noise_jump_operators(self.noise, self.basis)
+        jumps += dissipation_jump_operators(self.channel, self.basis)
         self.has_jumps = bool(jumps)
         self.n_jumps = len(jumps)
         self.decay = decay_rates(jumps, self.dim)
@@ -297,10 +296,6 @@ class _ChunkEngine:
         """Advance rows to absolute times, resolving jumps on the way."""
         taus = targets - self.t_cur[rows]
         taus = np.where(taus > 0, taus, 0.0)
-        if not self.has_jumps:
-            self._evolve_rows(rows, taus)
-            self.t_cur[rows] = targets
-            return
         anchors = self.psi[rows].copy()
         t_from = self.t_cur[rows].copy()
         self._evolve_rows(rows, taus)
@@ -373,9 +368,10 @@ class _ChunkEngine:
         next K grid points (`_no_jump_block`) and records the points before
         the row's first event. The event's grid point goes through
         `_step_to`: a measurement at or before a grid point is applied
-        before that point is recorded. Every row meets its events in time
-        order and draws from its own streams, so K changes a result only by
-        round-off.
+        before that point is recorded. When every row has a measurement due
+        by its next grid point, the block would record nothing and is not
+        evaluated. Every row meets its events in time order and draws from
+        its own streams, so K changes a result only by round-off.
         """
         grid = self.config.time_grid
         size = grid.size
@@ -389,32 +385,35 @@ class _ChunkEngine:
                        * (offsets * self.config.observable_dt)[:, None])
         upcoming = np.ones(self.batch, dtype=int)  # each row's next grid index
         while (rows := np.nonzero(upcoming < size)[0]).size:
-            # a slice views the whole batch where an index array would copy it
-            sel = slice(None) if rows.size == self.batch else rows
-            index = upcoming[sel, None] + offsets
-            on_grid = index < size
-            times = grid[np.minimum(index, size - 1)]
-            amps = self._no_jump_block(sel, times[:, 0], steps[sel])
-            norms = (np.einsum("rki,rki->rk", amps.real, amps.real)
-                     + np.einsum("rki,rki->rk", amps.imag, amps.imag))
-            due = self.next_meas[sel, None] <= times + _TIME_EPS * np.maximum(times, 1.0)
-            # the no-jump norm never increases, so the first grid point below
-            # the jump threshold is the first one after the jump
-            event = (due | (norms < self.thresholds[sel, None])) & on_grid
-            has_event = event.any(axis=1)
-            stop = np.where(has_event, event.argmax(axis=1), on_grid.sum(axis=1))
+            nearest = grid[upcoming[rows]]
+            if (self.next_meas[rows] <= nearest + _TIME_EPS * np.maximum(nearest, 1.0)).all():
+                events = rows
+            else:
+                # a slice views the whole batch where an index array would copy it
+                sel = slice(None) if rows.size == self.batch else rows
+                index = upcoming[sel, None] + offsets
+                on_grid = index < size
+                times = grid[np.minimum(index, size - 1)]
+                amps = self._no_jump_block(sel, times[:, 0], steps[sel])
+                norms = (np.einsum("rki,rki->rk", amps.real, amps.real)
+                         + np.einsum("rki,rki->rk", amps.imag, amps.imag))
+                due = self.next_meas[sel, None] <= times + _TIME_EPS * np.maximum(times, 1.0)
+                # the no-jump norm never increases, so the first grid point below
+                # the jump threshold is the first one after the jump
+                event = (due | (norms < self.thresholds[sel, None])) & on_grid
+                has_event = event.any(axis=1)
+                stop = np.where(has_event, event.argmax(axis=1), on_grid.sum(axis=1))
 
-            local, ks = np.nonzero(offsets < stop[:, None])
-            recorded = amps[local, ks]
-            moved = np.nonzero(stop)[0]
-            self.psi[rows[moved]] = amps[moved, stop[moved] - 1]
-            self.t_cur[rows[moved]] = times[moved, stop[moved] - 1]
-            del amps  # the largest array of an iteration; the series need only `recorded`
-            for name, values in self._series(recorded).items():
-                out[name][rows[local], index[local, ks]] = values
-            upcoming[rows] += stop
-
-            events = rows[has_event]
+                local, ks = np.nonzero(offsets < stop[:, None])
+                recorded = amps[local, ks]
+                moved = np.nonzero(stop)[0]
+                self.psi[rows[moved]] = amps[moved, stop[moved] - 1]
+                self.t_cur[rows[moved]] = times[moved, stop[moved] - 1]
+                del amps  # the largest array of an iteration; the series need only `recorded`
+                for name, values in self._series(recorded).items():
+                    out[name][rows[local], index[local, ks]] = values
+                upcoming[rows] += stop
+                events = rows[has_event]
             if events.size:
                 for name, values in self._step_to(events, grid[upcoming[events]]).items():
                     out[name][events, upcoming[events]] = values
@@ -507,17 +506,16 @@ def _max_excitations(config: SimulationConfig) -> int:
 
     At zero temperature the idle sites start empty and N_0 is the top level
     in the coding state's support; at T > 0 the idle sites may start
-    excited, so the bound is the full space's L (d - 1).
+    excited, so the bound is the full space's 2L, every site at n = 2, the
+    top level of the truncation.
     """
-    spec = config.lattice
     if config.noise is not None and config.noise.temperature > 0:
-        return spec.length * (spec.local_dim - 1)
+        return config.lattice.length * (LEVELS - 1)
     return int(np.nonzero(config.coding_vector())[0].max())
 
 
 def _sector(config: SimulationConfig) -> FockBasis:
-    spec = config.lattice
-    return FockBasis(spec.length, spec.local_dim, _max_excitations(config))
+    return FockBasis(config.lattice.length, _max_excitations(config))
 
 
 def run_trajectory(config: SimulationConfig, index: int) -> ModelSeries:
@@ -578,8 +576,7 @@ def _initial_density(config: SimulationConfig, real: DisorderRealization,
     idle = np.ones(basis.dimension)
     for site in range(2, spec.length + 1):
         weights = local_thermal_weights(
-            real.omegas[site - 1], real.anharmonicities[site - 1],
-            noise.temperature, spec.local_dim,
+            real.omegas[site - 1], real.anharmonicities[site - 1], noise.temperature,
         )
         idle = idle * weights[occ[:, site - 1]]
     same_rest = (occ[:, None, 1:] == occ[None, :, 1:]).all(axis=-1)
@@ -590,7 +587,7 @@ def _initial_density(config: SimulationConfig, real: DisorderRealization,
 def _reset_kraus(basis: FockBasis, site: int) -> list[Monomial]:
     """Reset Kraus operators |0><n| at `site`, one per level n, over `basis`."""
     kraus = []
-    for n in range(basis.local_dim):
+    for n in range(LEVELS):
         src, dst = basis.transitions({site: -n})
         keep = basis.occupations[src, site - 1] == n
         kraus.append(Monomial(src[keep], dst[keep], np.ones(np.count_nonzero(keep))))
@@ -648,14 +645,14 @@ def solve_master_dense(config: SimulationConfig) -> ModelSeries:
     real = realize_disorder(spec, _disorder_seed(config.master_seed, 0))
     ham = build_bose_hubbard(real, basis)
 
-    jumps = noise_jump_operators(noise, spec, basis)
-    jumps += dissipation_jump_operators(config.channel, spec, basis)
+    jumps = noise_jump_operators(noise, basis)
+    jumps += dissipation_jump_operators(config.channel, basis)
     if config.channel is not None and config.channel.is_feedback and config.channel.rate > 0:
         # measurements at rate Gamma: Gamma (sum_n K_n rho K_n^dag - rho), and
         # the Kraus set is complete, so these are jumps sqrt(Gamma) K_n
         root = math.sqrt(config.channel.rate)
         jumps += [k._replace(amp=root * k.amp)
-                  for k in _reset_kraus(basis, config.channel.site_index(spec))]
+                  for k in _reset_kraus(basis, config.channel.site_index(spec.length))]
     lindbladian = _lindbladian(ham, jumps)
     rho0 = _initial_density(config, real, noise, basis)
 

@@ -50,13 +50,13 @@ def dense_bose_hubbard_oracle(omegas, anharmonicities, hopping, d: int = 3) -> n
     return ham
 
 
-def basis_state(occupations, d: int = 3) -> np.ndarray:
+def basis_state(occupations) -> np.ndarray:
     """Full-space amplitudes of the Fock state |n_1 n_2 ... n_L>, site 1 leftmost.
 
     Uses the library's row lookup, which `TestFockBasis` checks against
     `fock_states`.
     """
-    basis = FockBasis(len(occupations), d)
+    basis = FockBasis(len(occupations))
     (row,) = basis.index([occupations])
     assert row >= 0, "occupation outside the local dimension"
     amp = np.zeros(basis.dimension, dtype=complex)
@@ -66,7 +66,7 @@ def basis_state(occupations, d: int = 3) -> np.ndarray:
 
 def dissipative_no_jump(real, basis, rate: float, site=None) -> np.ndarray:
     """H - (i/2) diag(d) under dissipation sqrt(rate) a_site, the rule the engine runs."""
-    jumps = dissipation_jump_operators(ResetChannel("dissipation", rate, site), real.spec, basis)
+    jumps = dissipation_jump_operators(ResetChannel("dissipation", rate, site), basis)
     return build_bose_hubbard(real, basis) - 0.5j * np.diag(decay_rates(jumps, basis.dimension))
 
 

@@ -5,7 +5,6 @@ import pytest
 from scipy.optimize import brentq, newton
 
 from lrusim.analytics import (
-    TwoSiteParams,
     disintegration_frequency,
     disintegration_threshold,
     diss_norm_exact_L2,
@@ -46,28 +45,25 @@ def oracle_populations(u, j, t, initial):
 
 class TestTwoSite:
     def test_disintegration_frequency_limits(self):
-        assert disintegration_frequency(TwoSiteParams(1e-12, 1.0)) == pytest.approx(4.0)
-        assert disintegration_frequency(TwoSiteParams(3.0, 0.0)) == pytest.approx(3.0)
+        assert disintegration_frequency(1e-12, 1.0) == pytest.approx(4.0)
+        assert disintegration_frequency(3.0, 0.0) == pytest.approx(3.0)
 
     def test_symmetric_initial_values(self):
-        p = TwoSiteParams(5.0, 0.7)
-        r20, r02, r11 = two_site_populations(p, 0.0, "symmetric")
+        r20, r02, r11 = two_site_populations(5.0, 0.7, 0.0, "symmetric")
         assert (r20, r02, r11) == (pytest.approx(0.5), pytest.approx(0.5), pytest.approx(0.0))
 
     def test_equal_manifold_populations_at_u_4j(self):
         j = 1.3
-        p = TwoSiteParams(4 * j, j)
         t_dis = math.pi / (4 * math.sqrt(2) * j)
-        r20, r02, r11 = two_site_populations(p, t_dis, "symmetric")
+        r20, r02, r11 = two_site_populations(4 * j, j, t_dis, "symmetric")
         assert r20 + r02 == pytest.approx(0.5, abs=1e-12)
         assert r11 == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_anharmonicity_localized_half_disintegrates(self):
         j = 0.9
-        p = TwoSiteParams(1e-14, j)
-        _, _, r11 = two_site_populations(p, math.pi / (4 * j), "localized")
+        _, _, r11 = two_site_populations(1e-14, j, math.pi / (4 * j), "localized")
         assert r11 == pytest.approx(0.5, abs=1e-9)
-        r20, r02, r11 = two_site_populations(p, math.pi / (4 * j), "symmetric")
+        r20, r02, r11 = two_site_populations(1e-14, j, math.pi / (4 * j), "symmetric")
         assert r11 == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_dense_oracle(self, rng):
@@ -78,20 +74,28 @@ class TestTwoSite:
             j = float(rng.uniform(0.01, 2.0))
             t = float(rng.uniform(0.0, 40.0))
             initial = "symmetric" if rng.random() < 0.5 else "localized"
-            ana = np.array(two_site_populations(TwoSiteParams(u, j), t, initial))
+            ana = np.array(two_site_populations(u, j, t, initial))
             num = oracle_populations(u, j, t, initial)
             worst = max(worst, np.abs(ana - num).max())
         assert worst < 1e-10
 
     def test_populations_sum_to_one_and_bounded(self, rng):
         for _ in range(200):
-            p = TwoSiteParams(float(rng.uniform(0.1, 20)), float(rng.uniform(0.01, 2)))
+            u, j = float(rng.uniform(0.1, 20)), float(rng.uniform(0.01, 2))
             t = float(rng.uniform(0, 50))
             for initial in ("symmetric", "localized"):
-                pops = np.array(two_site_populations(p, t, initial))
+                pops = np.array(two_site_populations(u, j, t, initial))
                 assert np.all(pops >= -1e-12)
                 assert np.all(pops <= 1 + 1e-12)
                 assert pops.sum() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("u, j", [(0.0, 1.0), (-2.0, 1.0), (5.0, -0.1)])
+    def test_rejects_nonpositive_anharmonicity_and_negative_hopping(self, u, j):
+        with pytest.raises(ValueError):
+            disintegration_frequency(u, j)
+        for initial in ("localized", "symmetric"):
+            with pytest.raises(ValueError):
+                two_site_populations(u, j, 1.0, initial)
 
 
 class TestThreshold:

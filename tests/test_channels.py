@@ -146,7 +146,7 @@ class TestFeedbackMeasurement:
         basis = FockBasis(spec.length)
         amp = rng.normal(size=27) + 1j * rng.normal(size=27)
         psi = amp / np.linalg.norm(amp)
-        number = build_site_operator(spec, 3, "number", basis)
+        number = build_site_operator(basis, 3, "number")
         out, _ = measure_and_reset(psi, basis, 3, rng.random())
         occ = np.vdot(out, number @ out).real
         assert occ == pytest.approx(0.0, abs=1e-12)
@@ -173,27 +173,23 @@ class TestFeedbackMeasurement:
 
 class TestNoiseOperators:
     def test_empty_for_trivial_model(self):
-        spec = LatticeSpec(2, 1.0, 1.0, 0.1)
-        assert noise_jump_operators(NoiseModel(), spec, FockBasis(2)) == []
+        assert noise_jump_operators(NoiseModel(), FockBasis(2)) == []
 
     def test_operator_count(self):
-        spec = LatticeSpec(3, 1.0, 1.0, 0.1)
-        ops = noise_jump_operators(NoiseModel(relaxation_rate=0.1, dephasing_rate=0.2), spec,
+        ops = noise_jump_operators(NoiseModel(relaxation_rate=0.1, dephasing_rate=0.2),
                                    FockBasis(3))
         assert len(ops) == 6
 
     def test_dephasing_amplitude_carries_factor_two(self):
         kappa = 0.13
-        spec = LatticeSpec(1, 1.0, 1.0, 0.0)
-        ops = noise_jump_operators(NoiseModel(dephasing_rate=kappa), spec, FockBasis(1))
+        ops = noise_jump_operators(NoiseModel(dephasing_rate=kappa), FockBasis(1))
         assert len(ops) == 1
         element = densify(ops[0], 3)[1, 1]
         assert abs(element) ** 2 == pytest.approx(2 * kappa, rel=1e-12)
 
     def test_probability_budget_first_order(self, rng):
         # sum dp_k + ||no-jump branch||^2 = 1 within O(dt^2)
-        spec = LatticeSpec(2, 1.0, 1.0, 0.1)
-        ops = noise_jump_operators(NoiseModel(relaxation_rate=0.3, dephasing_rate=0.2), spec,
+        ops = noise_jump_operators(NoiseModel(relaxation_rate=0.3, dephasing_rate=0.2),
                                    FockBasis(2))
         dense_ops = [densify(o, 9) for o in ops]
         decay = sum(o.conj().T @ o for o in dense_ops)
@@ -281,7 +277,7 @@ class TestThermalSampling:
         real = realize_disorder(spec, 3)
         model = NoiseModel(temperature=0.3)
         coding = np.array([1.0, 1.0, 0.0])
-        sector = FockBasis(4, 3, 2)
+        sector = FockBasis(4, 2)
         basis = FockBasis(4)
         inside = sector.index(basis.occupations) >= 0
         outcomes = set()

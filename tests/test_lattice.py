@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lrusim.channels import NoiseModel, noise_jump_operators
+from lrusim.channels import NoiseModel, noise_jump_operators, sample_thermal_initial
 from lrusim.lattice import (
     MAX_DIMENSION,
     DimensionBudgetError,
@@ -82,21 +82,18 @@ class TestDisorder:
 
 class TestSiteOperators:
     def test_annihilation_matrix_elements(self):
-        spec = LatticeSpec(1, 0.0, 1.0, 0.0)
-        a = build_site_operator(spec, 1, "annihilation", FockBasis(1))
+        a = build_site_operator(FockBasis(1), 1, "annihilation")
         assert a[0, 1] == pytest.approx(1.0)
         assert a[1, 2] == pytest.approx(np.sqrt(2.0))
         assert np.count_nonzero(a) == 2
 
     def test_leakage_number_diagonal(self):
-        spec = LatticeSpec(1, 0.0, 1.0, 0.0)
-        leak = build_site_operator(spec, 1, "leakage_number", FockBasis(1))
+        leak = build_site_operator(FockBasis(1), 1, "leakage_number")
         assert np.allclose(np.diag(leak), [0.0, 0.0, 1.0])
 
     def test_invalid_site_raises(self):
-        spec = LatticeSpec(2, 0.0, 1.0, 0.1)
         with pytest.raises(ValueError):
-            build_site_operator(spec, 3, "number", FockBasis(2))
+            build_site_operator(FockBasis(2), 3, "number")
 
     def test_number_commutes_with_hamiltonian(self, rng):
         spec = LatticeSpec(3, 10.0, 5.0, 0.7, 2.0)
@@ -118,12 +115,12 @@ class TestFockBasis:
     def test_sector_keeps_the_full_order(self):
         full = fock_states(5)
         for n_max in range(0, 11):
-            sector = FockBasis(5, 3, n_max)
+            sector = FockBasis(5, n_max)
             assert sector.occupations.tolist() == [list(s) for s in full if sum(s) <= n_max]
-        assert [FockBasis(L, 3, 2).dimension for L in (3, 4, 5, 8, 12)] == [10, 15, 21, 45, 91]
+        assert [FockBasis(L, 2).dimension for L in (3, 4, 5, 8, 12)] == [10, 15, 21, 45, 91]
 
     def test_index_marks_states_outside(self):
-        basis = FockBasis(3, 3, 2)
+        basis = FockBasis(3, 2)
         assert basis.index([[0, 1, 1], [1, 1, 1], [0, 0, 3], [0, -1, 0]]).tolist() == [4, -1, -1, -1]
 
     def test_sector_hamiltonian_is_the_oracle_block(self):
@@ -132,16 +129,15 @@ class TestFockBasis:
         oracle = dense_bose_hubbard_oracle(real.omegas, real.anharmonicities, spec.hopping)
         for n_max in (1, 2, 3):
             rows = [i for i, s in enumerate(fock_states(4)) if sum(s) <= n_max]
-            ham = build_bose_hubbard(real, FockBasis(4, 3, n_max))
+            ham = build_bose_hubbard(real, FockBasis(4, n_max))
             assert np.abs(ham - oracle[np.ix_(rows, rows)]).max() < 1e-12
 
     def test_sector_site_operators_are_full_blocks(self):
-        spec = LatticeSpec(3, 1.0, 1.0, 0.1)
         rows = [i for i, s in enumerate(fock_states(3)) if sum(s) <= 2]
-        sector = FockBasis(3, 3, 2)
+        sector = FockBasis(3, 2)
         for kind in ("annihilation", "creation", "number", "leakage_number"):
-            full = build_site_operator(spec, 2, kind, FockBasis(3))
-            block = build_site_operator(spec, 2, kind, sector)
+            full = build_site_operator(FockBasis(3), 2, kind)
+            block = build_site_operator(sector, 2, kind)
             assert np.array_equal(block, full[np.ix_(rows, rows)]), kind
 
     def test_sector_no_jump_hamiltonian_is_the_full_block(self):
@@ -149,13 +145,22 @@ class TestFockBasis:
         real = realize_disorder(spec, 2)
         rows = [i for i, s in enumerate(fock_states(3)) if sum(s) <= 2]
         full = dissipative_no_jump(real, FockBasis(3), 0.7)
-        sector = dissipative_no_jump(real, FockBasis(3, 3, 2), 0.7)
+        sector = dissipative_no_jump(real, FockBasis(3, 2), 0.7)
         assert np.abs(sector - full[np.ix_(rows, rows)]).max() < 1e-12
 
     def test_basis_must_match_lattice(self):
-        spec = LatticeSpec(3, 1.0, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            build_site_operator(spec, 1, "number", FockBasis(4, 3, 2))
+        # the two places where a disorder realization meets a basis
+        real = realize_disorder(LatticeSpec(3, 1.0, 1.0, 0.1), 0)
+        builders = {
+            "build_bose_hubbard": lambda basis: build_bose_hubbard(real, basis),
+            "sample_thermal_initial": lambda basis: sample_thermal_initial(
+                real, NoiseModel(), [0.0, 0.0, 1.0], np.random.default_rng(0), basis),
+        }
+        for name, build in builders.items():
+            for basis in (FockBasis(4, 2), FockBasis(2)):
+                with pytest.raises(ValueError, match="disagree on length"):
+                    build(basis)
+                    pytest.fail(f"{name} accepted a basis of length {basis.length}")
 
 
 class TestBoseHubbard:
@@ -259,7 +264,7 @@ class TestEffectiveNonHermitian:
         real = realize_disorder(spec, 4)
         basis = FockBasis(2)
         rate = 1.3
-        number = build_site_operator(spec, 2, "number", basis)
+        number = build_site_operator(basis, 2, "number")
         out = dissipative_no_jump(real, basis, rate)
         assert np.allclose(out, build_bose_hubbard(real, basis) - 0.5j * rate * number)
 
@@ -277,11 +282,11 @@ class TestStorage:
     def test_every_builder_is_dense(self):
         spec = fig1_spec(length=3)
         real = realize_disorder(spec, 0)
-        full, sector = FockBasis(3), FockBasis(3, 3, 2)
+        full, sector = FockBasis(3), FockBasis(3, 2)
         ops = [
             (build_bose_hubbard(real, full), full.dimension),
             (build_bose_hubbard(real, sector), sector.dimension),
-            (build_site_operator(spec, 2, "creation", sector), sector.dimension),
+            (build_site_operator(sector, 2, "creation"), sector.dimension),
             (build_effective_propagation(spec), spec.length),
             (build_effective_propagation(spec, 0.5), spec.length),
         ]
@@ -290,8 +295,8 @@ class TestStorage:
             assert op.shape == (dimension, dimension)
         # jump operators are monomials; densified, they are the sector's
         # sqrt(gamma) a_l and sqrt(2 kappa) n_l
-        jumps = noise_jump_operators(NoiseModel(0.1, 0.1), spec, sector)
-        expected = [np.sqrt(rate) * build_site_operator(spec, site, kind, sector)
+        jumps = noise_jump_operators(NoiseModel(0.1, 0.1), sector)
+        expected = [np.sqrt(rate) * build_site_operator(sector, site, kind)
                     for kind, rate in (("annihilation", 0.1), ("number", 0.2))
                     for site in (1, 2, 3)]
         assert len(jumps) == len(expected)
@@ -304,7 +309,7 @@ class TestStorage:
     def test_over_budget_raises_before_allocating(self):
         # 3**8 = 6561 states: a dense complex Hamiltonian would take 657 MiB
         spec = LatticeSpec(8, 10.0, 5.0, 0.3, 1.0)
-        assert spec.dimension > MAX_DIMENSION
+        assert 3**spec.length > MAX_DIMENSION
         real = realize_disorder(spec, 0)
         tracemalloc.start()
         try:

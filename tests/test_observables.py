@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lrusim.lattice import FockBasis, LatticeSpec, build_site_operator
+from lrusim.lattice import FockBasis, build_site_operator
 from lrusim.observables import (
     coherence_envelope,
     density_site1_coherence,
@@ -58,13 +58,12 @@ class TestLeakagePopulation:
 class TestBatchedForms:
     def test_site_expectations_match_site_operators(self, rng):
         # a (2, 4) batch of unnormalized L = 3 states
-        spec = LatticeSpec(3, 1.0, 1.0, 0.1)
         amps = rng.normal(size=(2, 4, 27)) + 1j * rng.normal(size=(2, 4, 27))
         leak, occ = site_expectations(np.abs(amps) ** 2, FockBasis(3))
         assert leak.shape == occ.shape == (2, 4, 3)
         for site in range(1, 4):
             for kind, got in (("leakage_number", leak), ("number", occ)):
-                op = build_site_operator(spec, site, kind, FockBasis(3))
+                op = build_site_operator(FockBasis(3), site, kind)
                 expect = np.einsum("...i,ij,...j->...", amps.conj(), op, amps).real
                 assert np.abs(got[..., site - 1] - expect).max() < 1e-12
 

@@ -219,10 +219,28 @@ class TestBlockLength:
         leaked = config.time_grid[:, None] < first - 1e-6
         assert np.max(np.abs(ens.leakage_total - leaked.mean(axis=1))) < 1e-12
 
+    def test_no_block_when_every_row_measures_first(self, monkeypatch):
+        # measurements every 0.1 and grid points every 0.2: each row has a
+        # measurement due by its next grid point, so a block would record nothing
+        blocks = []
+        no_jump_block = lrusim.trajectory._ChunkEngine._no_jump_block
+
+        def counting_block(engine, *args):
+            blocks.append(args)
+            return no_jump_block(engine, *args)
+
+        monkeypatch.setattr(lrusim.trajectory._ChunkEngine, "_no_jump_block", counting_block)
+        config = SimulationConfig(lattice=LatticeSpec(3, 0.0, 10.0, 1.0),
+                                  channel=ResetChannel("periodic_feedback", 10.0),
+                                  t_max=4.0, dt=0.05, n_trajectories=8,
+                                  noise=NoiseModel(0.05, 0.01), observable_stride=4)
+        ens = run_ensemble(config)
+        assert blocks == []
+        assert np.all(np.isfinite(ens.leakage_total))
+
 
 def full_space(config):
-    spec = config.lattice
-    return spec.length * (spec.local_dim - 1)
+    return 2 * config.lattice.length
 
 
 class TestSector:
@@ -270,7 +288,7 @@ class TestSector:
     def test_sector_above_exact_limit_raises(self):
         # at T > 0 the sector is the full space: 3**7 = 2187 states
         config = hot_config(7)
-        assert config.lattice.dimension > MAX_DIMENSION
+        assert 3**config.lattice.length > MAX_DIMENSION
         with pytest.raises(ValueError, match="exceeds budget"):
             run_ensemble(config)
 
@@ -295,7 +313,7 @@ class TestOracleSector:
     def test_reset_kraus_operators_are_complete(self, n_max):
         # resetting the top level empties the chain into the vacuum, which no
         # oracle series sees, so completeness is checked here directly
-        basis = FockBasis(4, 3, n_max)
+        basis = FockBasis(4, n_max)
         for site in (1, 4):
             kraus = [densify(k, basis.dimension) for k in _reset_kraus(basis, site)]
             assert len(kraus) == 3
@@ -328,7 +346,7 @@ class TestOracleSector:
         rho0 = _initial_density(config, real, config.noise, FockBasis(3))
         assert np.max(np.abs(rho0 - expected)) < 1e-15
         # at T = 0 the N <= 1 sector holds all of the plus state
-        sector = FockBasis(3, 3, 1)
+        sector = FockBasis(3, 1)
         rho0 = _initial_density(config, real, NoiseModel(), sector)
         cold = np.kron(np.outer(coding, coding.conj()), np.diag([1.0] + [0.0] * 8))
         full_rows = sector.occupations @ [9, 3, 1]
@@ -408,11 +426,11 @@ class TestLindbladian:
         rows = basis.occupations @ [9, 3, 1]
         ham = dense_bose_hubbard_oracle(real.omegas, real.anharmonicities,
                                         spec.hopping)[np.ix_(rows, rows)]
-        jumps = [math.sqrt(rate) * build_site_operator(spec, site, kind_, basis)
+        jumps = [math.sqrt(rate) * build_site_operator(basis, site, kind_)
                  for kind_, rate in (("annihilation", 0.1), ("number", 0.4))
                  for site in (1, 2, 3)]
         if kind == "dissipation":
-            jumps.append(math.sqrt(2.0) * build_site_operator(spec, 3, "annihilation", basis))
+            jumps.append(math.sqrt(2.0) * build_site_operator(basis, 3, "annihilation"))
         else:
             jumps += [math.sqrt(2.0) * k for k in reset_kraus_oracle(basis.occupations, 3)]
 
@@ -425,8 +443,8 @@ class TestLindbladian:
 
 def no_jump_system(spec, noise, channel, basis):
     """H_eff = H - (i/2) diag(decay) of a chain, with its eigensystem."""
-    jumps = noise_jump_operators(noise, spec, basis)
-    jumps += dissipation_jump_operators(channel, spec, basis)
+    jumps = noise_jump_operators(noise, basis)
+    jumps += dissipation_jump_operators(channel, basis)
     decay = decay_rates(jumps, basis.dimension)
     h_eff = build_bose_hubbard(realize_disorder(spec, 0), basis) - 0.5j * np.diag(decay)
     return h_eff, decay, eigensystem(h_eff, hermitian=False)
@@ -447,7 +465,7 @@ class TestJumpTime:
         else:
             # a leakage pair hopping onto a dissipative site: the norm falls
             # in steps, with near-flat stretches between them
-            spec, basis = LatticeSpec(2, 0.0, 10.0, 1.0), FockBasis(2, 3, 2)
+            spec, basis = LatticeSpec(2, 0.0, 10.0, 1.0), FockBasis(2, 2)
             noise, channel, span = NoiseModel(0.01, 0.01), ResetChannel("dissipation", 2.0), 20.0
             psi0 = np.zeros(basis.dimension, dtype=complex)
             psi0[basis.index([2, 0])] = 1.0
