@@ -368,10 +368,9 @@ class _ChunkEngine:
         next K grid points (`_no_jump_block`) and records the points before
         the row's first event. The event's grid point goes through
         `_step_to`: a measurement at or before a grid point is applied
-        before that point is recorded. When every row has a measurement due
-        by its next grid point, the block would record nothing and is not
-        evaluated. Every row meets its events in time order and draws from
-        its own streams, so K changes a result only by round-off.
+        before that point is recorded. Every row meets its events in time
+        order and draws from its own streams, so K changes a result only by
+        round-off.
         """
         grid = self.config.time_grid
         size = grid.size
@@ -385,35 +384,32 @@ class _ChunkEngine:
                        * (offsets * self.config.observable_dt)[:, None])
         upcoming = np.ones(self.batch, dtype=int)  # each row's next grid index
         while (rows := np.nonzero(upcoming < size)[0]).size:
-            nearest = grid[upcoming[rows]]
-            if (self.next_meas[rows] <= nearest + _TIME_EPS * np.maximum(nearest, 1.0)).all():
-                events = rows
-            else:
-                # a slice views the whole batch where an index array would copy it
-                sel = slice(None) if rows.size == self.batch else rows
-                index = upcoming[sel, None] + offsets
-                on_grid = index < size
-                times = grid[np.minimum(index, size - 1)]
-                amps = self._no_jump_block(sel, times[:, 0], steps[sel])
-                norms = (np.einsum("rki,rki->rk", amps.real, amps.real)
-                         + np.einsum("rki,rki->rk", amps.imag, amps.imag))
-                due = self.next_meas[sel, None] <= times + _TIME_EPS * np.maximum(times, 1.0)
-                # the no-jump norm never increases, so the first grid point below
-                # the jump threshold is the first one after the jump
-                event = (due | (norms < self.thresholds[sel, None])) & on_grid
-                has_event = event.any(axis=1)
-                stop = np.where(has_event, event.argmax(axis=1), on_grid.sum(axis=1))
+            # a slice views the whole batch where an index array would copy it
+            sel = slice(None) if rows.size == self.batch else rows
+            index = upcoming[sel, None] + offsets
+            on_grid = index < size
+            times = grid[np.minimum(index, size - 1)]
+            amps = self._no_jump_block(sel, times[:, 0], steps[sel])
+            norms = (np.einsum("rki,rki->rk", amps.real, amps.real)
+                     + np.einsum("rki,rki->rk", amps.imag, amps.imag))
+            due = self.next_meas[sel, None] <= times + _TIME_EPS * np.maximum(times, 1.0)
+            # the no-jump norm never increases, so the first grid point below
+            # the jump threshold is the first one after the jump
+            event = (due | (norms < self.thresholds[sel, None])) & on_grid
+            has_event = event.any(axis=1)
+            stop = np.where(has_event, event.argmax(axis=1), on_grid.sum(axis=1))
 
-                local, ks = np.nonzero(offsets < stop[:, None])
-                recorded = amps[local, ks]
-                moved = np.nonzero(stop)[0]
-                self.psi[rows[moved]] = amps[moved, stop[moved] - 1]
-                self.t_cur[rows[moved]] = times[moved, stop[moved] - 1]
-                del amps  # the largest array of an iteration; the series need only `recorded`
-                for name, values in self._series(recorded).items():
-                    out[name][rows[local], index[local, ks]] = values
-                upcoming[rows] += stop
-                events = rows[has_event]
+            local, ks = np.nonzero(offsets < stop[:, None])
+            recorded = amps[local, ks]
+            moved = np.nonzero(stop)[0]
+            self.psi[rows[moved]] = amps[moved, stop[moved] - 1]
+            self.t_cur[rows[moved]] = times[moved, stop[moved] - 1]
+            del amps  # the largest array of an iteration; the series need only `recorded`
+            for name, values in self._series(recorded).items():
+                out[name][rows[local], index[local, ks]] = values
+            upcoming[rows] += stop
+
+            events = rows[has_event]
             if events.size:
                 for name, values in self._step_to(events, grid[upcoming[events]]).items():
                     out[name][events, upcoming[events]] = values

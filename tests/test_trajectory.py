@@ -219,25 +219,6 @@ class TestBlockLength:
         leaked = config.time_grid[:, None] < first - 1e-6
         assert np.max(np.abs(ens.leakage_total - leaked.mean(axis=1))) < 1e-12
 
-    def test_no_block_when_every_row_measures_first(self, monkeypatch):
-        # measurements every 0.1 and grid points every 0.2: each row has a
-        # measurement due by its next grid point, so a block would record nothing
-        blocks = []
-        no_jump_block = lrusim.trajectory._ChunkEngine._no_jump_block
-
-        def counting_block(engine, *args):
-            blocks.append(args)
-            return no_jump_block(engine, *args)
-
-        monkeypatch.setattr(lrusim.trajectory._ChunkEngine, "_no_jump_block", counting_block)
-        config = SimulationConfig(lattice=LatticeSpec(3, 0.0, 10.0, 1.0),
-                                  channel=ResetChannel("periodic_feedback", 10.0),
-                                  t_max=4.0, dt=0.05, n_trajectories=8,
-                                  noise=NoiseModel(0.05, 0.01), observable_stride=4)
-        ens = run_ensemble(config)
-        assert blocks == []
-        assert np.all(np.isfinite(ens.leakage_total))
-
 
 def full_space(config):
     return 2 * config.lattice.length
