@@ -2,9 +2,12 @@
 
 The reset acts on the last site of the chain: either a projective feedback
 measurement that maps any outcome |n> to |0>, or an engineered dissipation
-jump operator sqrt(Gamma) a_L. Feedback measurements follow one schedule
-(`next_measurement`): periodic with a uniformly random first time, or at
-random times with geometric gaps over steps of dt.
+jump operator sqrt(Gamma) a_L. The measurement's Kraus operators |0><n|_L
+are built in one place, `reset_kraus`, and read both by the engine's
+`measure_and_reset` and by the oracle's measurement dissipator. Feedback
+measurements follow one schedule (`next_measurement`): periodic with a
+uniformly random first time, or at random times with geometric gaps over
+steps of dt.
 Background noise enters as per-site relaxation and dephasing jump
 operators; non-zero temperature enters only through the sampled initial
 state of the idle sites.
@@ -25,7 +28,7 @@ from .lattice import (
     Monomial,
     site_monomial,
 )
-from .units import thermal_exponent
+from .units import HBAR_OVER_KB_US
 
 CHANNEL_KINDS = ("periodic_feedback", "random_feedback", "dissipation")
 
@@ -39,23 +42,16 @@ class StepTooLargeError(Exception):
 
 @dataclass(frozen=True)
 class ResetChannel:
-    """Reset mechanism at one site (by default the last)."""
+    """Reset mechanism at the last site of the chain."""
 
     kind: str
     rate: float
-    site: int | None = None  # None means the last site
 
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
-        if self.rate < 0:
-            raise ValueError("rate must be non-negative")
-
-    def site_index(self, length: int) -> int:
-        site = self.site if self.site is not None else length
-        if not 1 <= site <= length:
-            raise ValueError(f"site {site} outside 1..{length}")
-        return site
+        if not 0 <= self.rate < math.inf:
+            raise ValueError("rate must be non-negative and finite")
 
     @property
     def is_feedback(self) -> bool:
@@ -76,8 +72,9 @@ class NoiseModel:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if min(self.relaxation_rate, self.dephasing_rate, self.temperature) < 0:
-            raise ValueError("noise rates and temperature must be non-negative")
+        if not all(0 <= value < math.inf for value in
+                   (self.relaxation_rate, self.dephasing_rate, self.temperature)):
+            raise ValueError("noise rates and temperature must be non-negative and finite")
 
 
 def next_measurement(channel: ResetChannel | None, dt: float, rng,
@@ -104,58 +101,59 @@ def next_measurement(channel: ResetChannel | None, dt: float, rng,
     return k * dt if after is None else after + k * dt
 
 
-def born_probabilities(amplitudes: np.ndarray, basis: FockBasis, site: int) -> np.ndarray:
-    """Probabilities of the local occupation outcomes at `site` (1-based).
+@functools.lru_cache(maxsize=16)
+def reset_kraus(basis: FockBasis) -> tuple[Monomial, ...]:
+    """Reset Kraus operators K_n = |0><n| at the last site, n = 0, 1, 2, over `basis`.
 
-    Batched over the leading axes of `amplitudes` (..., basis.dimension);
-    the result has shape (..., 3), one column per level. The states need
-    not be normalized. Raises ValueError unless 1 <= site <= basis.length.
+    K_n maps each state with n on the last site to the same state with that
+    site emptied (emptying lowers N, so it is in the basis); the set is
+    complete, sum_n K_n^dag K_n = 1. Its arrays are read-only, since they
+    are shared by every caller through the cache.
     """
-    if not 1 <= site <= basis.length:
-        raise ValueError(f"site {site} is not in 1..{basis.length}")
+    site = basis.length
+    kraus = []
+    for n in range(LEVELS):
+        src, dst = basis.transitions({site: -n})
+        keep = basis.occupations[src, site - 1] == n
+        op = Monomial(src[keep], dst[keep], np.ones(np.count_nonzero(keep)))
+        for array in op:
+            array.flags.writeable = False
+        kraus.append(op)
+    return tuple(kraus)
+
+
+def measure_and_reset(amplitudes: np.ndarray, basis: FockBasis,
+                      draws) -> tuple[np.ndarray, np.ndarray]:
+    """Projective number measurement at the last site followed by the reset |n> -> |0>.
+
+    Batched over the leading axes of `amplitudes` (..., basis.dimension),
+    with one uniform on [0, 1) in `draws` (...) per state; the states need
+    not be normalized. Each outcome n is sampled from the Born probabilities
+    ||K_n psi||^2 / ||psi||^2 of `reset_kraus`; outcomes with probability
+    below PROJECTION_EPS are excluded from the sampling support. Returns
+    K_n psi for the sampled n (not renormalized) and the outcomes.
+    """
     amps = np.asarray(amplitudes)
-    levels = basis.occupations[:, site - 1]
-    outcome_of_state = (levels[:, None] == np.arange(LEVELS)).astype(float)
-    probs = (amps.real**2 + amps.imag**2) @ outcome_of_state
+    kraus = reset_kraus(basis)
+    weights = np.zeros((basis.dimension, LEVELS))
+    for n, op in enumerate(kraus):
+        weights[op.src, n] = np.abs(op.amp) ** 2
+    probs = (amps.real**2 + amps.imag**2) @ weights
     total = probs.sum(axis=-1, keepdims=True)
     if np.any(total <= 0):
         raise ValueError("cannot measure a zero state")
-    return probs / total
-
-
-def measure_and_reset(amplitudes: np.ndarray, basis: FockBasis, site: int,
-                      draws) -> tuple[np.ndarray, np.ndarray]:
-    """Projective number measurement at `site` followed by the reset |n> -> |0>.
-
-    Batched over the leading axes of `amplitudes` (..., basis.dimension),
-    with one uniform on [0, 1) in `draws` (...) per state. Each outcome is
-    sampled from the Born probabilities; outcomes with probability below
-    PROJECTION_EPS are excluded from the sampling support. Returns the
-    projected amplitudes, with the measured site moved to |0> and the norm
-    of the sampled branch (not renormalized), and the outcomes.
-    """
-    amps = np.asarray(amplitudes)
-    probs = born_probabilities(amps, basis, site)
+    probs = probs / total
     probs = np.where(probs > PROJECTION_EPS, probs, 0.0)
     cums = np.cumsum(probs / probs.sum(axis=-1, keepdims=True), axis=-1)
     outcomes = np.minimum((cums <= np.asarray(draws)[..., None]).sum(axis=-1),
                           LEVELS - 1)
 
     flat = amps.reshape(-1, basis.dimension)
-    rows, states = np.nonzero(basis.occupations[:, site - 1] == outcomes.reshape(-1, 1))
     new = np.zeros_like(flat)
-    new[rows, _emptied(basis, site)[states]] = flat[rows, states]
+    for n, op in enumerate(kraus):
+        rows = np.flatnonzero(outcomes == n)[:, None]
+        new[rows, op.dst] = op.amp * flat[rows, op.src]
     return new.reshape(amps.shape), outcomes
-
-
-@functools.lru_cache(maxsize=16)
-def _emptied(basis: FockBasis, site: int) -> np.ndarray:
-    """Row of each basis state with `site` set to 0 (emptying lowers N, so it is in the basis)."""
-    occupations = basis.occupations.copy()
-    occupations[:, site - 1] = 0
-    rows = basis.index(occupations)
-    rows.flags.writeable = False  # shared by every caller through the cache
-    return rows
 
 
 def noise_jump_operators(model: NoiseModel, basis: FockBasis) -> list[Monomial]:
@@ -177,11 +175,10 @@ def noise_jump_operators(model: NoiseModel, basis: FockBasis) -> list[Monomial]:
 
 def dissipation_jump_operators(channel: ResetChannel | None,
                                basis: FockBasis) -> list[Monomial]:
-    """The engineered-dissipation jump sqrt(Gamma) a_site, if `channel` is one with Gamma > 0."""
+    """The engineered-dissipation jump sqrt(Gamma) a_L, if `channel` is one with Gamma > 0."""
     if channel is None or channel.kind != "dissipation" or channel.rate == 0:
         return []
-    return [_with_rate(site_monomial(basis, channel.site_index(basis.length), "annihilation"),
-                    channel.rate)]
+    return [_with_rate(site_monomial(basis, basis.length, "annihilation"), channel.rate)]
 
 
 def _with_rate(op: Monomial, rate: float) -> Monomial:
@@ -219,7 +216,7 @@ def local_thermal_weights(omega: float, anharmonicity: float,
         raise ValueError(
             f"thermal weights need increasing (lab-frame) level energies, got {energies.tolist()}"
         )
-    exponents = np.array([thermal_exponent(e, temperature) for e in energies])
+    exponents = HBAR_OVER_KB_US * energies / temperature
     exponents -= exponents.min()
     weights = np.exp(-exponents)
     return weights / weights.sum()

@@ -18,6 +18,7 @@ they are H - (i/2) diag(d), with d from `channels.decay_rates`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -70,10 +71,12 @@ class LatticeSpec:
     def __post_init__(self):
         if self.length < 1:
             raise ValueError("length must be >= 1")
-        if self.hopping < 0 or self.disorder < 0:
-            raise ValueError("hopping and disorder must be non-negative")
-        if self.mean_anharmonicity <= 0:
-            raise ValueError("mean_anharmonicity must be positive")
+        if not math.isfinite(self.mean_frequency):
+            raise ValueError("mean_frequency must be finite")
+        if not (0 <= self.hopping < math.inf and 0 <= self.disorder < math.inf):
+            raise ValueError("hopping and disorder must be non-negative and finite")
+        if not 0 < self.mean_anharmonicity < math.inf:
+            raise ValueError("mean_anharmonicity must be positive and finite")
 
     @classmethod
     def from_mhz(cls, length, f_mhz, u_mhz, j_mhz, w_mhz=0.0):

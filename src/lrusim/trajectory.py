@@ -14,11 +14,11 @@ largest N an initial state of the configuration can have: the top level in
 the coding state's support at zero temperature, the full space otherwise.
 
 Every jump operator -- relaxation sqrt(gamma) a_l, dephasing sqrt(2 kappa)
-n_l, dissipation sqrt(Gamma) a_L, and the oracle's resets |0><n| -- maps
-each Fock state to at most one Fock state, so it is kept as a
-`lattice.Monomial` of (src, dst, amp) entries and every L^dag L is
-diagonal: the no-jump Hamiltonian is H - (i/2) diag(d) with one decay
-vector d (`channels.decay_rates`).
+n_l, dissipation sqrt(Gamma) a_L, and the resets |0><n|_L -- maps each Fock
+state to at most one Fock state, so it is kept as a `lattice.Monomial` of
+(src, dst, amp) entries and every L^dag L is diagonal: the no-jump
+Hamiltonian is H - (i/2) diag(d) with one decay vector d
+(`channels.decay_rates`). The reset channel acts on the last site L.
 
 The integrator is event-driven: between feedback measurements and
 observable grid points the state advances with the cached exact
@@ -42,11 +42,14 @@ exact (`_jump_time`); the jump channel is then drawn from the weights
 ||L_k psi||^2 and applied as one scatter, both O(dim).
 
 The master-equation oracle integrates its density matrix in the same
-sector, with the engine's Hamiltonian, jump operators and observables, as
-one sparse Lindbladian. Its reset Kraus operators |0><n| and its initial
-density are its own, built from the basis occupations, so that it remains
-an independent reference for the engine's measure-and-reset and
-initial-state sampling.
+sector, with the engine's Hamiltonian, jump operators, reset Kraus
+operators (`channels.reset_kraus`) and observables, as one sparse
+Lindbladian. Feedback measurement is one unravelling of its measurement
+dissipator: the oracle averages Gamma (sum_n K_n rho K_n^dag - rho), the
+engine Born-samples K_n psi, so the engine-oracle agreement checks the
+sampling, the norm bookkeeping and the schedule. Its initial density is
+its own, built from the basis occupations, so that it remains an
+independent reference for the engine's initial-state sampling.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ from .channels import (
     measure_and_reset,
     next_measurement,
     noise_jump_operators,
+    reset_kraus,
     sample_thermal_initial,
 )
 from .lattice import (
@@ -125,14 +129,14 @@ class SimulationConfig:
     t_max: float
     dt: float
     n_trajectories: int
-    noise: NoiseModel | None = None
+    noise: NoiseModel = NoiseModel()
     initial_coding_state: str = "ket2"
     master_seed: int = 0
     observable_stride: int = 1
 
     def __post_init__(self):
-        if self.t_max <= 0 or self.dt <= 0:
-            raise ValueError("t_max and dt must be positive")
+        if not (0 < self.t_max < math.inf and 0 < self.dt < math.inf):
+            raise ValueError("t_max and dt must be positive and finite")
         if self.n_trajectories < 1:
             raise ValueError("need at least one trajectory")
         if self.observable_stride < 1:
@@ -215,14 +219,11 @@ class _ChunkEngine:
     def __init__(self, config: SimulationConfig, indices, basis: FockBasis):
         self.config = config
         self.indices = list(indices)
-        spec = config.lattice
-        self.spec = spec
+        self.spec = config.lattice
         self.basis = basis
         self.dim = basis.dimension
         self.batch = len(self.indices)
         self.channel = config.channel
-        self.noise = config.noise or NoiseModel()
-        self.site = self.channel.site_index(spec.length) if self.channel else spec.length
 
         self._build_jump_operators()
         self._build_states_and_hamiltonians()
@@ -232,7 +233,7 @@ class _ChunkEngine:
     # -- setup ------------------------------------------------------------
 
     def _build_jump_operators(self):
-        jumps = noise_jump_operators(self.noise, self.basis)
+        jumps = noise_jump_operators(self.config.noise, self.basis)
         jumps += dissipation_jump_operators(self.channel, self.basis)
         self.has_jumps = bool(jumps)
         self.n_jumps = len(jumps)
@@ -256,7 +257,7 @@ class _ChunkEngine:
             real = realize_disorder(spec, _disorder_seed(cfg.master_seed, idx))
             hams[row] = build_bose_hubbard(real, self.basis)
             rng_th = _stream(cfg.master_seed, idx, 1)
-            psi[row] = sample_thermal_initial(real, self.noise, coding, rng_th, self.basis)
+            psi[row] = sample_thermal_initial(real, cfg.noise, coding, rng_th, self.basis)
 
         diagonal = np.arange(dim)
         hams[:, diagonal, diagonal] -= 0.5j * self.decay
@@ -347,7 +348,7 @@ class _ChunkEngine:
     def _measure_rows(self, rows: np.ndarray):
         psi = self.psi[rows]
         draws = np.array([self.meas_rngs[int(r)].random() for r in rows])
-        reset, _ = measure_and_reset(psi, self.basis, self.site, draws)
+        reset, _ = measure_and_reset(psi, self.basis, draws)
         # preserve the pre-measurement norm so waiting-time bookkeeping
         # keeps tracking only the non-Hermitian (dissipative) norm loss
         scale = np.linalg.norm(psi, axis=1) / np.linalg.norm(reset, axis=1)
@@ -505,7 +506,7 @@ def _max_excitations(config: SimulationConfig) -> int:
     excited, so the bound is the full space's 2L, every site at n = 2, the
     top level of the truncation.
     """
-    if config.noise is not None and config.noise.temperature > 0:
+    if config.noise.temperature > 0:
         return config.lattice.length * (LEVELS - 1)
     return int(np.nonzero(config.coding_vector())[0].max())
 
@@ -560,7 +561,7 @@ def run_ensemble(config: SimulationConfig, n_threads: int = 1) -> EnsembleObserv
 
 
 def _initial_density(config: SimulationConfig, real: DisorderRealization,
-                     noise: NoiseModel, basis: FockBasis) -> np.ndarray:
+                     basis: FockBasis) -> np.ndarray:
     """Coding state on site 1 times the idle sites' Gibbs weights, over `basis`.
 
     rho0 = |c><c| (x) prod_{l>=2} diag(w_l): entry (i, j) is
@@ -572,22 +573,12 @@ def _initial_density(config: SimulationConfig, real: DisorderRealization,
     idle = np.ones(basis.dimension)
     for site in range(2, spec.length + 1):
         weights = local_thermal_weights(
-            real.omegas[site - 1], real.anharmonicities[site - 1], noise.temperature,
+            real.omegas[site - 1], real.anharmonicities[site - 1], config.noise.temperature,
         )
         idle = idle * weights[occ[:, site - 1]]
     same_rest = (occ[:, None, 1:] == occ[None, :, 1:]).all(axis=-1)
     amp = config.coding_vector()[occ[:, 0]]
     return np.outer(amp, amp.conj()) * (idle[:, None] * same_rest)
-
-
-def _reset_kraus(basis: FockBasis, site: int) -> list[Monomial]:
-    """Reset Kraus operators |0><n| at `site`, one per level n, over `basis`."""
-    kraus = []
-    for n in range(LEVELS):
-        src, dst = basis.transitions({site: -n})
-        keep = basis.occupations[src, site - 1] == n
-        kraus.append(Monomial(src[keep], dst[keep], np.ones(np.count_nonzero(keep))))
-    return kraus
 
 
 def _lindbladian(ham: np.ndarray, jumps: list[Monomial]) -> sparse.csr_matrix:
@@ -622,35 +613,35 @@ def solve_master_dense(config: SimulationConfig) -> ModelSeries:
     The density matrix lives in the engine's excitation-number sector
     (`_sector`). This is exact: H conserves N and every jump and reset
     lowers it, so rho never leaves N <= N_max; at T > 0 the sector is the
-    full space. The Hamiltonian, jump operators and observables are the
-    engine's, built in that basis. The reset Kraus operators |0><n| and
-    rho0 are built here from the basis occupations, independently of the
-    engine's `measure_and_reset` and `sample_thermal_initial`, so that the
-    oracle stays a reference for them.
+    full space. The Hamiltonian, jump operators, reset Kraus operators
+    |0><n|_L (`channels.reset_kraus`, which `measure_and_reset` also
+    applies) and observables are the engine's, built in that basis, so
+    agreement with the engine checks its Born sampling, norm bookkeeping
+    and measurement schedule, not the operators themselves;
+    `reset_kraus` is checked against a dense lookup in the tests. rho0 is
+    built here from the basis occupations, independently of the engine's
+    `sample_thermal_initial`, so that the oracle stays a reference for it.
 
     Every jump and Kraus operator is a `Monomial`, so the whole right-hand
     side is one sparse Lindbladian (`_lindbladian`) over the dim^2 entries
     of rho, built once; the integrator only multiplies by it, on
     `config.time_grid` with rtol 1e-9 and atol 1e-11.
     """
-    spec = config.lattice
     basis = _sector(config)
     dim = basis.dimension
     grid = config.time_grid
-    noise = config.noise or NoiseModel()
-    real = realize_disorder(spec, _disorder_seed(config.master_seed, 0))
+    real = realize_disorder(config.lattice, _disorder_seed(config.master_seed, 0))
     ham = build_bose_hubbard(real, basis)
 
-    jumps = noise_jump_operators(noise, basis)
+    jumps = noise_jump_operators(config.noise, basis)
     jumps += dissipation_jump_operators(config.channel, basis)
     if config.channel is not None and config.channel.is_feedback and config.channel.rate > 0:
         # measurements at rate Gamma: Gamma (sum_n K_n rho K_n^dag - rho), and
         # the Kraus set is complete, so these are jumps sqrt(Gamma) K_n
         root = math.sqrt(config.channel.rate)
-        jumps += [k._replace(amp=root * k.amp)
-                  for k in _reset_kraus(basis, config.channel.site_index(spec.length))]
+        jumps += [k._replace(amp=root * k.amp) for k in reset_kraus(basis)]
     lindbladian = _lindbladian(ham, jumps)
-    rho0 = _initial_density(config, real, noise, basis)
+    rho0 = _initial_density(config, real, basis)
 
     def rhs(_t, flat):
         return lindbladian @ flat

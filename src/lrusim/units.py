@@ -25,11 +25,3 @@ def angular_from_mhz(f_mhz: float) -> float:
     """Ordinary frequency in MHz -> angular frequency in rad/us."""
     return TWO_PI * f_mhz
 
-
-def thermal_exponent(energy: float, temperature_k: float) -> float:
-    """Dimensionless Boltzmann exponent beta*E for E in rad/us, T in kelvin."""
-    if temperature_k < 0:
-        raise ValueError("temperature must be non-negative")
-    if temperature_k == 0:
-        return math.inf if energy > 0 else 0.0
-    return HBAR_OVER_KB_US * energy / temperature_k

@@ -64,9 +64,9 @@ def basis_state(occupations) -> np.ndarray:
     return amp
 
 
-def dissipative_no_jump(real, basis, rate: float, site=None) -> np.ndarray:
-    """H - (i/2) diag(d) under dissipation sqrt(rate) a_site, the rule the engine runs."""
-    jumps = dissipation_jump_operators(ResetChannel("dissipation", rate, site), basis)
+def dissipative_no_jump(real, basis, rate: float) -> np.ndarray:
+    """H - (i/2) diag(d) under dissipation sqrt(rate) a_L, the rule the engine runs."""
+    jumps = dissipation_jump_operators(ResetChannel("dissipation", rate), basis)
     return build_bose_hubbard(real, basis) - 0.5j * np.diag(decay_rates(jumps, basis.dimension))
 
 
@@ -90,16 +90,28 @@ def densify(op, dimension: int) -> np.ndarray:
     return matrix
 
 
-def reset_kraus_oracle(occupations, site: int, d: int = 3) -> list[np.ndarray]:
-    """Dense |0><n| at `site` for each level n, by looking up every emptied state."""
+def reset_kraus_oracle(occupations) -> list[np.ndarray]:
+    """Dense |0><n| at the last site for each level n, by looking up every emptied state."""
     index = {tuple(row): i for i, row in enumerate(occupations.tolist())}
     dim = len(occupations)
-    kraus = [np.zeros((dim, dim)) for _ in range(d)]
+    kraus = [np.zeros((dim, dim)) for _ in range(3)]
     for i, row in enumerate(occupations.tolist()):
         emptied = list(row)
-        emptied[site - 1] = 0
-        kraus[row[site - 1]][index[tuple(emptied)], i] = 1.0
+        emptied[-1] = 0
+        kraus[row[-1]][index[tuple(emptied)], i] = 1.0
     return kraus
+
+
+def born_oracle(amplitudes, occupations) -> np.ndarray:
+    """Born probabilities (..., 3) of the last site's levels, ||K_n psi||^2 / ||psi||^2.
+
+    Batched over the leading axes of `amplitudes`, with the dense K_n of
+    `reset_kraus_oracle`; the states need not be normalized.
+    """
+    amps = np.asarray(amplitudes)
+    probs = np.stack([np.linalg.norm(amps @ k.T, axis=-1) ** 2
+                      for k in reset_kraus_oracle(occupations)], axis=-1)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def dense_lindblad_rhs(ham: np.ndarray, jumps, rho: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ from lrusim.channels import (
     NoiseModel,
     ResetChannel,
     StepTooLargeError,
-    born_probabilities,
     local_thermal_weights,
     measure_and_reset,
     next_measurement,
@@ -18,7 +17,7 @@ from lrusim.channels import (
 from lrusim.lattice import FockBasis, LatticeSpec, build_site_operator, realize_disorder
 from lrusim.trajectory import SimulationConfig, run_ensemble, run_trajectory
 
-from conftest import basis_state, densify
+from conftest import basis_state, born_oracle, densify, reset_kraus_oracle
 from test_trajectory import Z_BOUND, max_z
 
 
@@ -52,6 +51,13 @@ class TestResetChannel:
             ResetChannel("feedback", 1.0)
         with pytest.raises(ValueError, match="non-negative"):
             ResetChannel("dissipation", -1.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    @pytest.mark.parametrize("kind", ["periodic_feedback", "random_feedback", "dissipation"])
+    def test_non_finite_rate_rejected(self, kind, rate):
+        # an infinite periodic rate made the period 0 and the schedule stand still
+        with pytest.raises(ValueError, match="finite"):
+            ResetChannel(kind, rate)
 
 
 class TestMeasurementTimes:
@@ -100,7 +106,7 @@ class TestFeedbackMeasurement:
 
     def test_deterministic_projection(self, rng):
         basis = FockBasis(2)
-        out, outcome = measure_and_reset(basis_state([0, 2]), basis, 2, rng.random())
+        out, outcome = measure_and_reset(basis_state([0, 2]), basis, rng.random())
         assert outcome == 2
         expected = basis_state([0, 0])
         assert np.abs(out - expected).max() < 1e-12
@@ -110,10 +116,10 @@ class TestFeedbackMeasurement:
         psi = (basis_state([0, 1]) + basis_state([0, 0])) / np.sqrt(2)
         seen = set()
         for _ in range(200):
-            out, outcome = measure_and_reset(psi, basis, 2, rng.random())
+            out, outcome = measure_and_reset(psi, basis, rng.random())
             seen.add(int(outcome))
             # either way the measured site ends in |0>
-            probs = born_probabilities(out, basis, 2)
+            probs = born_oracle(out, basis.occupations)
             assert probs[0] == pytest.approx(1.0, abs=1e-12)
             # the branch is not renormalized: it keeps norm sqrt(1/2)
             assert abs(np.linalg.norm(out) - np.sqrt(0.5)) < 1e-12
@@ -123,23 +129,13 @@ class TestFeedbackMeasurement:
         basis = FockBasis(2)
         amp = rng.normal(size=9) + 1j * rng.normal(size=9)
         psi = amp / np.linalg.norm(amp)
-        probs = born_probabilities(psi, basis, 2)
+        probs = born_oracle(psi, basis.occupations)
         n_samples = 100_000
-        _, outcomes = measure_and_reset(np.broadcast_to(psi, (n_samples, 9)), basis, 2,
+        _, outcomes = measure_and_reset(np.broadcast_to(psi, (n_samples, 9)), basis,
                                         rng.random(n_samples))
         freq = np.bincount(outcomes, minlength=3) / n_samples
         sigma = np.sqrt(probs * (1 - probs) / n_samples)
         assert np.all(np.abs(freq - probs) < 3.5 * sigma + 1e-12)
-
-    @pytest.mark.parametrize("site", [0, 3])
-    def test_site_outside_the_chain_rejected(self, site):
-        # site 0 would index the last site, site L + 1 past the table
-        basis = FockBasis(2)
-        psi = basis_state([0, 2])
-        with pytest.raises(ValueError):
-            born_probabilities(psi, basis, site)
-        with pytest.raises(ValueError):
-            measure_and_reset(psi, basis, site, 0.5)
 
     def test_measured_site_occupation_is_zero(self, rng):
         spec = LatticeSpec(3, 2.0, 1.5, 0.2, 0.5)
@@ -147,7 +143,7 @@ class TestFeedbackMeasurement:
         amp = rng.normal(size=27) + 1j * rng.normal(size=27)
         psi = amp / np.linalg.norm(amp)
         number = build_site_operator(basis, 3, "number")
-        out, _ = measure_and_reset(psi, basis, 3, rng.random())
+        out, _ = measure_and_reset(psi, basis, rng.random())
         occ = np.vdot(out, number @ out).real
         assert occ == pytest.approx(0.0, abs=1e-12)
 
@@ -156,19 +152,39 @@ class TestFeedbackMeasurement:
         basis = FockBasis(3)
         amps = rng.normal(size=(2, 3, 27)) + 1j * rng.normal(size=(2, 3, 27))
         draws = rng.random((2, 3))
-        probs = born_probabilities(amps, basis, 2)
-        reset, outcomes = measure_and_reset(amps, basis, 2, draws)
+        probs = born_oracle(amps, basis.occupations)
+        reset, outcomes = measure_and_reset(amps, basis, draws)
         assert probs.shape == (2, 3, 3) and outcomes.shape == (2, 3)
         for idx in np.ndindex(2, 3):
             psi = amps[idx] / np.linalg.norm(amps[idx])
-            assert np.allclose(probs[idx], born_probabilities(psi, basis, 2))
-            out, outcome = measure_and_reset(amps[idx], basis, 2, draws[idx])
+            assert np.allclose(probs[idx], born_oracle(psi, basis.occupations))
+            out, outcome = measure_and_reset(amps[idx], basis, draws[idx])
             assert outcome == outcomes[idx]
             # the batch keeps the branch norm: sqrt(p_outcome) of the input norm
             norm = np.linalg.norm(reset[idx])
             assert norm == pytest.approx(
                 np.linalg.norm(amps[idx]) * np.sqrt(probs[idx][outcome]), rel=1e-12)
             assert np.abs(reset[idx] - out).max() < 1e-12
+
+    @pytest.mark.parametrize("n_max", [1, 2, None])
+    @pytest.mark.parametrize("length", [2, 3, 4])
+    def test_applies_the_drawn_reset_operator(self, rng, length, n_max):
+        # a draw in the middle of each outcome's Born interval picks that
+        # outcome; the result is the dense |0><n| at the last site times psi
+        basis = FockBasis(length, n_max)
+        kraus = reset_kraus_oracle(basis.occupations)
+        levels = np.unique(basis.occupations[:, -1])
+        for _ in range(5):
+            psi = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+            probs = born_oracle(psi, basis.occupations)
+            draws = (np.cumsum(probs) - 0.5 * probs)[levels]
+            reset, outcomes = measure_and_reset(np.broadcast_to(psi, (levels.size, psi.size)),
+                                                basis, draws)
+            assert np.array_equal(outcomes, levels)
+            for out, n, draw in zip(reset, outcomes, draws):
+                assert np.array_equal(out, kraus[n] @ psi), n
+                single, outcome = measure_and_reset(psi, basis, draw)
+                assert outcome == n and np.array_equal(single, out), n
 
 
 class TestNoiseOperators:
@@ -204,7 +220,7 @@ class TestNoiseOperators:
                 assert abs(budget - 1.0) < 10 * dt**2
 
 
-def single_site_config(coding, t_max, dt, n_trajectories, noise=None, channel=None):
+def single_site_config(coding, t_max, dt, n_trajectories, noise=NoiseModel(), channel=None):
     return SimulationConfig(
         lattice=LatticeSpec(1, 2.0, 1.0, 0.0), channel=channel, t_max=t_max, dt=dt,
         n_trajectories=n_trajectories, noise=noise, initial_coding_state=coding,
@@ -340,3 +356,12 @@ class TestThermalSampling:
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel(temperature=-1.0)
+
+
+class TestNoiseModel:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["relaxation_rate", "dephasing_rate", "temperature"])
+    def test_non_finite_values_rejected(self, field, value):
+        # a NaN relaxation rate used to run as if it were zero
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel(**{field: value})

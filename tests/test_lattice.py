@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -78,6 +79,16 @@ class TestDisorder:
         # build_bose_hubbard with a bare matmul shape error
         with pytest.raises(ValueError, match=r"omegas must have shape \(3,\)"):
             DisorderRealization.explicit(LatticeSpec(3, 0.0, 10.0, 1.0), omegas)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["mean_frequency", "mean_anharmonicity", "hopping",
+                                       "disorder"])
+    def test_spec_rejects_non_finite_values(self, field, value):
+        # every comparison with NaN is false, so a bare "< 0" check let it through
+        good = dict(length=3, mean_frequency=0.0, mean_anharmonicity=10.0, hopping=1.0,
+                    disorder=0.5)
+        with pytest.raises(ValueError, match="finite"):
+            LatticeSpec(**{**good, field: value})
 
 
 class TestSiteOperators:
@@ -273,7 +284,7 @@ class TestEffectiveNonHermitian:
         basis = FockBasis(2)
         for seed in range(6):
             rate = float(rng.uniform(0, 50))
-            out = dissipative_no_jump(realize_disorder(spec, seed), basis, rate, site=seed % 2 + 1)
+            out = dissipative_no_jump(realize_disorder(spec, seed), basis, rate)
             evals = np.linalg.eigvals(out)
             assert evals.imag.max() < 1e-9
 

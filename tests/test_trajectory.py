@@ -35,6 +35,7 @@ from lrusim.channels import (
     local_thermal_weights,
     next_measurement,
     noise_jump_operators,
+    reset_kraus,
 )
 from lrusim.lattice import (
     MAX_DIMENSION,
@@ -50,7 +51,6 @@ from lrusim.trajectory import (
     _disorder_seed,
     _initial_density,
     _jump_time,
-    _reset_kraus,
     _stream,
 )
 
@@ -70,10 +70,10 @@ ORACLE_SERIES = ("leakage_total", "leakage_site1", "occupation_site1")
 
 
 def chain_config(kind, rate, n_trajectories, t_max, dt, stride, noise, seed=0,
-                 coding="ket2", length=3, disorder=0.0, site=None):
+                 coding="ket2", length=3, disorder=0.0):
     return SimulationConfig(
         lattice=LatticeSpec(length, 0.0, 10.0, 1.0, disorder),
-        channel=ResetChannel(kind, rate, site),
+        channel=ResetChannel(kind, rate),
         t_max=t_max,
         dt=dt,
         n_trajectories=n_trajectories,
@@ -279,11 +279,12 @@ class TestOracleSector:
     @pytest.mark.parametrize("coding", ["ket2", "plus"])
     @pytest.mark.parametrize("kind", ["dissipation", "periodic_feedback", "random_feedback"])
     def test_sector_matches_full_space(self, monkeypatch, kind, coding, length):
-        # the reset sits on site 2, next to the coding site, so resets act
-        # within t_max; one that leaves an excitation on site 1 changes the
-        # series, one that empties the chain does not (see the next test)
+        # the reset on the last site acts within t_max: against rate 0 it moves
+        # the series by 7e-4 to 0.08 here, far above the tolerance. One that
+        # leaves an excitation on the chain changes them, one that empties it
+        # does not (see the next test)
         config = chain_config(kind, 2.0, 1, 2.0, 0.05, 4, NoiseModel(0.1, 0.1), seed=5,
-                              coding=coding, length=length, disorder=2.0, site=2)
+                              coding=coding, length=length, disorder=2.0)
         sector = solve_master_dense(config)
         monkeypatch.setattr(lrusim.trajectory, "_max_excitations", full_space)
         full = solve_master_dense(config)
@@ -295,18 +296,17 @@ class TestOracleSector:
         # resetting the top level empties the chain into the vacuum, which no
         # oracle series sees, so completeness is checked here directly
         basis = FockBasis(4, n_max)
-        for site in (1, 4):
-            kraus = [densify(k, basis.dimension) for k in _reset_kraus(basis, site)]
-            assert len(kraus) == 3
-            for op, reference in zip(kraus, reset_kraus_oracle(basis.occupations, site)):
-                assert np.array_equal(op, reference)
-            assert np.array_equal(sum(k.conj().T @ k for k in kraus), np.eye(basis.dimension))
-            for n, op in enumerate(kraus):
-                dst, src = np.nonzero(op)
-                assert np.all(basis.occupations[src, site - 1] == n)
-                emptied = basis.occupations[src].copy()
-                emptied[:, site - 1] = 0
-                assert np.array_equal(basis.occupations[dst], emptied)
+        kraus = [densify(k, basis.dimension) for k in reset_kraus(basis)]
+        assert len(kraus) == 3
+        for op, reference in zip(kraus, reset_kraus_oracle(basis.occupations)):
+            assert np.array_equal(op, reference)
+        assert np.array_equal(sum(k.conj().T @ k for k in kraus), np.eye(basis.dimension))
+        for n, op in enumerate(kraus):
+            dst, src = np.nonzero(op)
+            assert np.all(basis.occupations[src, -1] == n)
+            emptied = basis.occupations[src].copy()
+            emptied[:, -1] = 0
+            assert np.array_equal(basis.occupations[dst], emptied)
 
     def test_initial_density_is_coding_times_gibbs(self):
         # a hot chain at a realistic frequency, so every idle level is populated
@@ -324,11 +324,11 @@ class TestOracleSector:
                                             real.anharmonicities[site - 1], 0.25)
             assert weights.min() > 1e-3
             expected = np.kron(expected, np.diag(weights))
-        rho0 = _initial_density(config, real, config.noise, FockBasis(3))
+        rho0 = _initial_density(config, real, FockBasis(3))
         assert np.max(np.abs(rho0 - expected)) < 1e-15
         # at T = 0 the N <= 1 sector holds all of the plus state
         sector = FockBasis(3, 1)
-        rho0 = _initial_density(config, real, NoiseModel(), sector)
+        rho0 = _initial_density(replace(config, noise=NoiseModel()), real, sector)
         cold = np.kron(np.outer(coding, coding.conj()), np.diag([1.0] + [0.0] * 8))
         full_rows = sector.occupations @ [9, 3, 1]
         assert np.array_equal(rho0, cold[np.ix_(full_rows, full_rows)])
@@ -356,7 +356,7 @@ class TestTimeGrid:
     @pytest.mark.parametrize("t_max, dt, stride", [(40.0, 0.02, 1), (6.0, 0.01, 10),
                                                    (1.0, 0.1, 1), (2.0, 0.1, 4)])
     def test_grid_ends_at_t_max(self, t_max, dt, stride):
-        config = chain_config("dissipation", 1.0, 1, t_max, dt, stride, None)
+        config = chain_config("dissipation", 1.0, 1, t_max, dt, stride, NoiseModel())
         grid = config.time_grid
         assert grid[0] == 0.0
         assert grid[-1] == pytest.approx(t_max, rel=1e-12)
@@ -367,7 +367,14 @@ class TestTimeGrid:
     def test_span_off_the_grid_rejected(self, t_max, dt, stride):
         # round(t_max / observable_dt) steps would run past t_max or stop short of it
         with pytest.raises(ValueError, match="multiple"):
-            chain_config("dissipation", 1.0, 1, t_max, dt, stride, None)
+            chain_config("dissipation", 1.0, 1, t_max, dt, stride, NoiseModel())
+
+    @pytest.mark.parametrize("t_max, dt", [(math.inf, 0.1), (1.0, math.inf), (math.nan, 0.1),
+                                           (1.0, math.nan)])
+    def test_non_finite_span_or_step_rejected(self, t_max, dt):
+        # an infinite dt used to give a one-point grid
+        with pytest.raises(ValueError, match="finite"):
+            chain_config("dissipation", 1.0, 1, t_max, dt, 1, NoiseModel())
 
 
 class TestTemperature:
@@ -413,7 +420,7 @@ class TestLindbladian:
         if kind == "dissipation":
             jumps.append(math.sqrt(2.0) * build_site_operator(basis, 3, "annihilation"))
         else:
-            jumps += [math.sqrt(2.0) * k for k in reset_kraus_oracle(basis.occupations, 3)]
+            jumps += [math.sqrt(2.0) * k for k in reset_kraus_oracle(basis.occupations)]
 
         dim = basis.dimension
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
