@@ -16,7 +16,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.optimize import brentq, newton
 
 #: Relative guard band around exceptional points inside which limits are used.
 EP_GUARD = 1e-6
@@ -30,9 +29,9 @@ def disintegration_frequency(anharmonicity: float, hopping: float) -> float:
 
     Raises ValueError unless U > 0 and J >= 0.
     """
-    if anharmonicity <= 0:
+    if not anharmonicity > 0:
         raise ValueError("anharmonicity must be positive")
-    if hopping < 0:
+    if not hopping >= 0:
         raise ValueError("hopping must be non-negative")
     return math.hypot(anharmonicity, 4.0 * hopping)
 
@@ -68,6 +67,7 @@ def disintegration_threshold() -> float:
     Solves sin(U pi / (2 w_dis)) = (8 J^2 - U^2)/(U w_dis) for U/J; below the
     root the pair disintegrates before it can hop as a whole.
     """
+    from scipy.optimize import brentq, newton
 
     def residual(u):
         w = math.hypot(u, 4.0)
@@ -86,7 +86,7 @@ def fb_leakage_rate_low(rate_fb: float, j_prop: float) -> float:
     2 J_prop^2 Gamma / (4 J_prop^2 + Gamma^2); maximal at Gamma = 2 J_prop
     where the decay time is 2/J_prop.
     """
-    if rate_fb < 0 or j_prop < 0:
+    if not (rate_fb >= 0 and j_prop >= 0):
         raise ValueError("rates must be non-negative")
     if rate_fb == 0 and j_prop == 0:
         return 0.0
@@ -100,7 +100,7 @@ def fb_leakage_rate_high(rate_fb: float, hopping: float, anharmonicity: float) -
     is U/(2 J^2). The projector-counting time rescaling of the two-level
     mapping is already folded in.
     """
-    if rate_fb < 0 or hopping < 0:
+    if not (rate_fb >= 0 and hopping >= 0):
         raise ValueError("rates must be non-negative")
     return 4.0 * hopping**2 * rate_fb / (rate_fb**2 + anharmonicity**2)
 
@@ -111,7 +111,7 @@ def fb_qubit_times(rate_fb: float, hopping: float, detuning: float) -> tuple[flo
     T1 = (Gamma^2 + d^2)/(2 J^2 Gamma), T2 = 2 T1; shortest (worst
     protection) at Gamma = |d|. Unbounded at zero rate, returned as inf.
     """
-    if rate_fb < 0:
+    if not rate_fb >= 0:
         raise ValueError("rate must be non-negative")
     if rate_fb == 0 or hopping == 0:
         return math.inf, math.inf
@@ -126,7 +126,7 @@ def diss_norm_exact_L2(rate_d: float, j_prop: float, t) -> np.ndarray:
     trigonometric branch below the exceptional point Gamma = 2 J_prop,
     hyperbolic above, polynomial limit inside a narrow guard band.
     """
-    if rate_d < 0 or j_prop <= 0:
+    if not (rate_d >= 0 and j_prop > 0):
         raise ValueError("need rate >= 0 and j_prop > 0")
     t = np.asarray(t, dtype=float)
     g, jp = rate_d, j_prop
@@ -153,7 +153,7 @@ def diss_rate_low(rate_d: float, j_prop: float) -> float:
     2 J_prop^2 Gamma / (2 J_prop^2 + Gamma^2); maximal at Gamma =
     sqrt(2) J_prop with decay time sqrt(2)/J_prop.
     """
-    if rate_d < 0 or j_prop < 0:
+    if not (rate_d >= 0 and j_prop >= 0):
         raise ValueError("rates must be non-negative")
     if rate_d == 0 and j_prop == 0:
         return 0.0
@@ -166,7 +166,7 @@ def diss_rate_high(rate_d: float, hopping: float, anharmonicity: float) -> float
     8 J^2 Gamma / (4 U^2 + Gamma^2); maximal at Gamma = 2 U with decay time
     U/(2 J^2); falls off as 8 J^2/Gamma in the Zeno limit.
     """
-    if rate_d < 0 or hopping < 0:
+    if not (rate_d >= 0 and hopping >= 0):
         raise ValueError("rates must be non-negative")
     return 8.0 * hopping**2 * rate_d / (4.0 * anharmonicity**2 + rate_d**2)
 
@@ -237,7 +237,7 @@ def diss_qubit_times(rate_d: float, hopping: float, detuning_first_last: float,
     intermediate sites; tau_2 = 2 tau_1. Worst protection at Gamma = 2|d|.
     Needs length >= 2 and exactly length - 2 intermediate detunings.
     """
-    if rate_d <= 0 or hopping <= 0:
+    if not (rate_d > 0 and hopping > 0):
         raise ValueError("need positive rate and hopping")
     if length < 2:
         raise ValueError("length must be >= 2")
@@ -261,7 +261,7 @@ def liouvillian_qubit_gap(detuning: float, drive: float, rate_st: float) -> comp
     second-order perturbative gap -4 G b^2/(G^2 + 4 D^2) (valid for
     b/D << 1, warned above 0.35).
     """
-    if rate_st < 0:
+    if not rate_st >= 0:
         raise ValueError("rate must be non-negative")
     if detuning == 0:
         disc = rate_st**2 - 16.0 * drive**2

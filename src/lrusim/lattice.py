@@ -301,7 +301,7 @@ def build_effective_propagation(spec: LatticeSpec, rate: float = 0.0) -> np.ndar
     empties the pair state |2> at 2*rate, so the chain's no-jump rule
     H - (i/2) diag(d) subtracts i*rate at the last position.
     """
-    if rate < 0:
+    if not rate >= 0:
         raise ValueError("rate must be non-negative")
     L = spec.length
     jp = spec.hopping_effective

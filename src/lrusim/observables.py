@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .lattice import FockBasis
 
@@ -98,7 +97,7 @@ def coherence_envelope(series) -> np.ndarray:
 
 def propagation_time(hopping: float, anharmonicity: float) -> float:
     """Single-hop transport time of a leakage pair, pi U / (4 J^2)."""
-    if hopping <= 0 or anharmonicity <= 0:
+    if not (hopping > 0 and anharmonicity > 0):
         raise ValueError("need positive hopping and anharmonicity")
     return math.pi * anharmonicity / (4.0 * hopping**2)
 
@@ -108,7 +107,8 @@ def fit_exponential(times, values, t_start: float = 0.0,
     """Least-squares fit of A exp(-t/tau) on [t_start, t_end].
 
     Fits in log space (linear least squares) when every sample in the window
-    exceeds LOG_FIT_FLOOR, otherwise falls back to nonlinear least squares.
+    exceeds LOG_FIT_FLOOR, otherwise falls back to nonlinear least squares
+    (`scipy.optimize.curve_fit`, imported on first use of the fallback).
     Non-positive data or a degenerate window yield converged = False.
     """
     times = np.asarray(times, dtype=float)
@@ -134,6 +134,8 @@ def fit_exponential(times, values, t_start: float = 0.0,
 
     if np.all(y_win <= 0):
         return FitResult(math.nan, math.nan, window, math.nan, False)
+    from scipy.optimize import curve_fit
+
     scale = float(np.abs(y_win).max())
     span = max(t_win[-1] - t_win[0], 1e-12)
     try:

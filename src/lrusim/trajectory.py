@@ -50,17 +50,22 @@ engine Born-samples K_n psi, so the engine-oracle agreement checks the
 sampling, the norm bookkeeping and the schedule. Its initial density is
 its own, built from the basis occupations, so that it remains an
 independent reference for the engine's initial-state sampling.
+
+scipy is imported on first use, not with this module: `_lindbladian`
+imports scipy.sparse, and `solve_ivp` is resolved on first access through
+the module `__getattr__` (PEP 562). `solve_master_dense` looks
+`solve_ivp` up on this module at call time, so it must stay a patchable
+attribute here: the benchmark's tracer and the tests swap it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.integrate import solve_ivp
 
 from .channels import (
     NoiseModel,
@@ -581,13 +586,15 @@ def _initial_density(config: SimulationConfig, real: DisorderRealization,
     return np.outer(amp, amp.conj()) * (idle[:, None] * same_rest)
 
 
-def _lindbladian(ham: np.ndarray, jumps: list[Monomial]) -> sparse.csr_matrix:
+def _lindbladian(ham: np.ndarray, jumps: list[Monomial]) -> "scipy.sparse.csr_matrix":
     """Generator of d vec(rho)/dt for vec(rho)[i * dim + j] = rho[i, j], in CSR form.
 
     -i (H_eff rho - rho H_eff^dag) + sum_k L_k rho L_k^dag with H_eff = H -
     (i/2) diag(decay_rates); each monomial L_k puts amp_a amp_b^* rho[src_a,
     src_b] on entry [dst_a, dst_b].
     """
+    from scipy import sparse
+
     dim = ham.shape[0]
     h_eff = sparse.csr_matrix(ham - 0.5j * np.diag(decay_rates(jumps, dim)))
     eye = sparse.identity(dim, format="csr")
@@ -646,6 +653,8 @@ def solve_master_dense(config: SimulationConfig) -> ModelSeries:
     def rhs(_t, flat):
         return lindbladian @ flat
 
+    # looked up on the module at call time, so that a swapped solve_ivp is used
+    solve_ivp = sys.modules[__name__].solve_ivp
     sol = solve_ivp(rhs, (grid[0], grid[-1]), rho0.ravel(), t_eval=grid,
                     method="DOP853", rtol=1e-9, atol=1e-11)
     if not sol.success:
@@ -655,3 +664,17 @@ def solve_master_dense(config: SimulationConfig) -> ModelSeries:
     rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
     return ModelSeries(time_grid=grid, **chain_series(np.diagonal(rho, axis1=1, axis2=2).real,
                                                       density_site1_coherence(rho, basis), basis))
+
+
+def __getattr__(name: str):
+    """Resolve `solve_ivp` on first access (PEP 562) and cache it in the module.
+
+    Importing the engine then loads no scipy.integrate; the oracle, and code
+    that swaps `solve_ivp` for a wrapper, pay for it on first use.
+    """
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        globals()[name] = solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,6 +19,8 @@ from lrusim.analytics import (
     qubit_liouvillian_matrix,
     two_site_populations,
 )
+from lrusim.lattice import LatticeSpec, build_effective_propagation
+from lrusim.observables import propagation_time
 
 from conftest import evolve_nonhermitian_oracle
 
@@ -338,3 +340,36 @@ class TestLiouvillianGap:
         expected = (-g + math.sqrt(g**2 - 16 * beta**2)) / 2
         assert gap.real == pytest.approx(expected)
         assert gap.imag == pytest.approx(0.0, abs=1e-12)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: disintegration_frequency(NAN, 1.0), id="disintegration_frequency-U"),
+    pytest.param(lambda: disintegration_frequency(10.0, NAN), id="disintegration_frequency-J"),
+    pytest.param(lambda: two_site_populations(NAN, 1.0, 1.0), id="two_site_populations"),
+    pytest.param(lambda: fb_leakage_rate_low(NAN, 1.0), id="fb_leakage_rate_low-rate"),
+    pytest.param(lambda: fb_leakage_rate_low(1.0, NAN), id="fb_leakage_rate_low-jprop"),
+    pytest.param(lambda: fb_leakage_rate_high(NAN, 1.0, 10.0), id="fb_leakage_rate_high-rate"),
+    pytest.param(lambda: fb_leakage_rate_high(1.0, NAN, 10.0), id="fb_leakage_rate_high-J"),
+    pytest.param(lambda: fb_qubit_times(NAN, 1.0, 5.0), id="fb_qubit_times"),
+    pytest.param(lambda: diss_norm_exact_L2(NAN, 1.0, 1.0), id="diss_norm_exact_L2-rate"),
+    pytest.param(lambda: diss_norm_exact_L2(1.0, NAN, 1.0), id="diss_norm_exact_L2-jprop"),
+    pytest.param(lambda: diss_rate_low(NAN, 1.0), id="diss_rate_low-rate"),
+    pytest.param(lambda: diss_rate_low(1.0, NAN), id="diss_rate_low-jprop"),
+    pytest.param(lambda: diss_rate_high(NAN, 1.0, 10.0), id="diss_rate_high-rate"),
+    pytest.param(lambda: diss_rate_high(1.0, NAN, 10.0), id="diss_rate_high-J"),
+    pytest.param(lambda: diss_qubit_times(NAN, 1.0, 5.0), id="diss_qubit_times-rate"),
+    pytest.param(lambda: diss_qubit_times(1.0, NAN, 5.0), id="diss_qubit_times-J"),
+    pytest.param(lambda: liouvillian_qubit_gap(0.0, 1.0, NAN), id="liouvillian_qubit_gap"),
+    pytest.param(lambda: build_effective_propagation(LatticeSpec(2, 0.0, 10.0, 1.0), NAN),
+                 id="build_effective_propagation"),
+    pytest.param(lambda: propagation_time(NAN, 10.0), id="propagation_time-J"),
+    pytest.param(lambda: propagation_time(1.0, NAN), id="propagation_time-U"),
+])
+def test_nan_rate_rejected(call):
+    # a NaN rate or coupling fails every `x < 0` comparison; the guards must
+    # still reject it instead of returning NaN (or failing further on)
+    with pytest.raises(ValueError, match="positive|non-negative|>= 0"):
+        call()

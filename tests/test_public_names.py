@@ -5,6 +5,12 @@ The benchmark's tracer (`lrubench/spans.py`) swaps the functions
 `numpy.linalg.eig`, for recording wrappers. A rename there, or an eig
 imported by name, breaks the traced benchmark run without failing any
 physics test.
+
+`solve_ivp` is not imported with `lrusim.trajectory`: the module
+`__getattr__` resolves it on first access and caches it there, and
+`solve_master_dense` looks it up on the module at call time. It must stay
+patchable as `lrusim.trajectory.solve_ivp`, which
+`test_oracle_looks_up_solve_ivp_when_called` checks.
 """
 
 import ast
