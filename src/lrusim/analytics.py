@@ -24,6 +24,12 @@ GOLDEN_A = -(1.0 - math.sqrt(5.0)) / 2.0  # edge-localized L=3 constants
 GOLDEN_B = -(1.0 + math.sqrt(5.0)) / 2.0
 
 
+def _check_rates(*rates: float) -> None:
+    """Rates and couplings must be non-negative and finite; NaN is neither."""
+    if not all(0 <= rate < math.inf for rate in rates):
+        raise ValueError("rates must be non-negative and finite")
+
+
 def disintegration_frequency(anharmonicity: float, hopping: float) -> float:
     """Oscillation frequency sqrt(U^2 + 16 J^2) between the anharmonicity manifolds.
 
@@ -86,8 +92,7 @@ def fb_leakage_rate_low(rate_fb: float, j_prop: float) -> float:
     2 J_prop^2 Gamma / (4 J_prop^2 + Gamma^2); maximal at Gamma = 2 J_prop
     where the decay time is 2/J_prop.
     """
-    if not (rate_fb >= 0 and j_prop >= 0):
-        raise ValueError("rates must be non-negative")
+    _check_rates(rate_fb, j_prop)
     if rate_fb == 0 and j_prop == 0:
         return 0.0
     return 2.0 * j_prop**2 * rate_fb / (4.0 * j_prop**2 + rate_fb**2)
@@ -100,8 +105,9 @@ def fb_leakage_rate_high(rate_fb: float, hopping: float, anharmonicity: float) -
     is U/(2 J^2). The projector-counting time rescaling of the two-level
     mapping is already folded in.
     """
-    if not (rate_fb >= 0 and hopping >= 0):
-        raise ValueError("rates must be non-negative")
+    _check_rates(rate_fb, hopping)
+    if not math.isfinite(anharmonicity) or rate_fb == anharmonicity == 0:
+        raise ValueError("anharmonicity must be finite, and non-zero at zero rate")
     return 4.0 * hopping**2 * rate_fb / (rate_fb**2 + anharmonicity**2)
 
 
@@ -111,8 +117,9 @@ def fb_qubit_times(rate_fb: float, hopping: float, detuning: float) -> tuple[flo
     T1 = (Gamma^2 + d^2)/(2 J^2 Gamma), T2 = 2 T1; shortest (worst
     protection) at Gamma = |d|. Unbounded at zero rate, returned as inf.
     """
-    if not rate_fb >= 0:
-        raise ValueError("rate must be non-negative")
+    _check_rates(rate_fb, hopping)
+    if not math.isfinite(detuning):
+        raise ValueError("detuning must be finite")
     if rate_fb == 0 or hopping == 0:
         return math.inf, math.inf
     t1 = (rate_fb**2 + detuning**2) / (2.0 * hopping**2 * rate_fb)
@@ -153,8 +160,7 @@ def diss_rate_low(rate_d: float, j_prop: float) -> float:
     2 J_prop^2 Gamma / (2 J_prop^2 + Gamma^2); maximal at Gamma =
     sqrt(2) J_prop with decay time sqrt(2)/J_prop.
     """
-    if not (rate_d >= 0 and j_prop >= 0):
-        raise ValueError("rates must be non-negative")
+    _check_rates(rate_d, j_prop)
     if rate_d == 0 and j_prop == 0:
         return 0.0
     return 2.0 * j_prop**2 * rate_d / (2.0 * j_prop**2 + rate_d**2)
@@ -166,8 +172,9 @@ def diss_rate_high(rate_d: float, hopping: float, anharmonicity: float) -> float
     8 J^2 Gamma / (4 U^2 + Gamma^2); maximal at Gamma = 2 U with decay time
     U/(2 J^2); falls off as 8 J^2/Gamma in the Zeno limit.
     """
-    if not (rate_d >= 0 and hopping >= 0):
-        raise ValueError("rates must be non-negative")
+    _check_rates(rate_d, hopping)
+    if not math.isfinite(anharmonicity) or rate_d == anharmonicity == 0:
+        raise ValueError("anharmonicity must be finite, and non-zero at zero rate")
     return 8.0 * hopping**2 * rate_d / (4.0 * anharmonicity**2 + rate_d**2)
 
 
@@ -191,6 +198,9 @@ def diss_norm_general_L(length: int, rate_d: float, j_prop: float, t,
         raise ValueError("length must be >= 2")
     if regime not in ("low", "high"):
         raise ValueError("regime must be 'low' or 'high'")
+    _check_rates(rate_d, j_prop)
+    if regime == "high" and rate_d == 0:
+        raise ValueError("the high regime needs a positive rate")
     t = np.asarray(t, dtype=float)
     g, jp = rate_d, j_prop
 
@@ -237,13 +247,15 @@ def diss_qubit_times(rate_d: float, hopping: float, detuning_first_last: float,
     intermediate sites; tau_2 = 2 tau_1. Worst protection at Gamma = 2|d|.
     Needs length >= 2 and exactly length - 2 intermediate detunings.
     """
-    if not (rate_d > 0 and hopping > 0):
-        raise ValueError("need positive rate and hopping")
+    if not (0 < rate_d < math.inf and 0 < hopping < math.inf):
+        raise ValueError("need positive, finite rate and hopping")
     if length < 2:
         raise ValueError("length must be >= 2")
     intermediate = list(intermediate_detunings)
     if len(intermediate) != length - 2:
         raise ValueError("need one intermediate detuning per site 2..L-1")
+    if not all(math.isfinite(x) for x in (detuning_first_last, *intermediate)):
+        raise ValueError("detunings must be finite")
     if any(x == 0 for x in intermediate):
         raise ValueError("zero intermediate detuning: degenerate perturbation regime")
     factor = 1.0
@@ -261,8 +273,7 @@ def liouvillian_qubit_gap(detuning: float, drive: float, rate_st: float) -> comp
     second-order perturbative gap -4 G b^2/(G^2 + 4 D^2) (valid for
     b/D << 1, warned above 0.35).
     """
-    if not rate_st >= 0:
-        raise ValueError("rate must be non-negative")
+    _check_rates(rate_st)
     if detuning == 0:
         disc = rate_st**2 - 16.0 * drive**2
         if abs(disc) <= (EP_GUARD * max(rate_st, 1e-300)) ** 2:

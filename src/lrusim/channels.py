@@ -4,10 +4,12 @@ The reset acts on the last site of the chain: either a projective feedback
 measurement that maps any outcome |n> to |0>, or an engineered dissipation
 jump operator sqrt(Gamma) a_L. The measurement's Kraus operators |0><n|_L
 are built in one place, `reset_kraus`, and read both by the engine's
-`measure_and_reset` and by the oracle's measurement dissipator. Feedback
+measurement and by the oracle's measurement dissipator. Feedback
 measurements follow one schedule (`next_measurement`): periodic with a
 uniformly random first time, or at random times with geometric gaps over
 steps of dt.
+A feedback measurement and a quantum jump are one step, `sample_jump`:
+Born-sample an operator of a `jump_table` and apply it.
 Background noise enters as per-site relaxation and dephasing jump
 operators; non-zero temperature enters only through the sampled initial
 state of the idle sites.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,38 +125,65 @@ def reset_kraus(basis: FockBasis) -> tuple[Monomial, ...]:
     return tuple(kraus)
 
 
-def measure_and_reset(amplitudes: np.ndarray, basis: FockBasis,
-                      draws) -> tuple[np.ndarray, np.ndarray]:
-    """Projective number measurement at the last site followed by the reset |n> -> |0>.
+class JumpTable(NamedTuple):
+    """Operators A_k over a basis of dimension D, one row k per operator.
 
-    Batched over the leading axes of `amplitudes` (..., basis.dimension),
-    with one uniform on [0, 1) in `draws` (...) per state; the states need
-    not be normalized. Each outcome n is sampled from the Born probabilities
-    ||K_n psi||^2 / ||psi||^2 of `reset_kraus`; outcomes with probability
-    below PROJECTION_EPS are excluded from the sampling support. Returns
-    K_n psi for the sampled n (not renormalized) and the outcomes.
+    A_k maps row s to dst[k, s] with amplitude amp[k, s], or, where it has
+    no entry, to the spare column D with amplitude 0. rates = |amp|^2, and
+    decay = diag(sum_k A_k^dag A_k), the d of H - (i/2) diag(d).
+    """
+
+    dst: np.ndarray
+    amp: np.ndarray
+    rates: np.ndarray
+    decay: np.ndarray
+
+
+def jump_table(ops: list[Monomial], dimension: int) -> JumpTable:
+    """The `JumpTable` of `ops` over a basis of `dimension` rows.
+
+    Raises ValueError if an operator repeats a source or a destination row,
+    since `sample_jump` scatters each row's entries in one assignment.
+    """
+    dst = np.full((len(ops), dimension), dimension)
+    amp = np.zeros((len(ops), dimension), dtype=np.result_type(float, *(op.amp for op in ops)))
+    for k, op in enumerate(ops):
+        if max(np.bincount(rows).max(initial=0) for rows in (op.src, op.dst)) > 1:
+            raise ValueError(f"operator {k} repeats a source or destination row")
+        dst[k, op.src] = op.dst
+        amp[k, op.src] = op.amp
+    rates = np.abs(amp) ** 2
+    return JumpTable(dst, amp, rates, rates.sum(axis=0))
+
+
+def sample_jump(table: JumpTable, amplitudes: np.ndarray,
+                draws) -> tuple[np.ndarray, np.ndarray]:
+    """Born-sample one operator of `table` per state and apply it.
+
+    Batched over the leading axes of `amplitudes` (..., D), with one uniform
+    on [0, 1) in `draws` (...) per state; the states need not be
+    normalized. Operator k is drawn with probability ||A_k psi||^2 /
+    sum_j ||A_j psi||^2, excluding those below PROJECTION_EPS. Returns
+    A_k psi (not renormalized) and k; a state no operator acts on raises
+    ValueError.
     """
     amps = np.asarray(amplitudes)
-    kraus = reset_kraus(basis)
-    weights = np.zeros((basis.dimension, LEVELS))
-    for n, op in enumerate(kraus):
-        weights[op.src, n] = np.abs(op.amp) ** 2
-    probs = (amps.real**2 + amps.imag**2) @ weights
+    probs = (amps.real**2 + amps.imag**2) @ table.rates.T
     total = probs.sum(axis=-1, keepdims=True)
     if np.any(total <= 0):
-        raise ValueError("cannot measure a zero state")
+        raise ValueError("no operator of the table acts on the state")
     probs = probs / total
-    probs = np.where(probs > PROJECTION_EPS, probs, 0.0)
+    support = probs > PROJECTION_EPS
+    probs = np.where(support, probs, 0.0)
     cums = np.cumsum(probs / probs.sum(axis=-1, keepdims=True), axis=-1)
-    outcomes = np.minimum((cums <= np.asarray(draws)[..., None]).sum(axis=-1),
-                          LEVELS - 1)
+    # a draw above a last cumulative sum rounded below 1 stays in the support
+    last = support.shape[-1] - 1 - support[..., ::-1].argmax(axis=-1)
+    picks = np.minimum((cums <= np.asarray(draws)[..., None]).sum(axis=-1), last)
 
-    flat = amps.reshape(-1, basis.dimension)
-    new = np.zeros_like(flat)
-    for n, op in enumerate(kraus):
-        rows = np.flatnonzero(outcomes == n)[:, None]
-        new[rows, op.dst] = op.amp * flat[rows, op.src]
-    return new.reshape(amps.shape), outcomes
+    dim = amps.shape[-1]
+    new = np.zeros((*amps.shape[:-1], dim + 1), dtype=amps.dtype)
+    np.put_along_axis(new, table.dst[picks], table.amp[picks] * amps, axis=-1)
+    return new[..., :dim], picks
 
 
 def noise_jump_operators(model: NoiseModel, basis: FockBasis) -> list[Monomial]:
@@ -183,18 +213,6 @@ def dissipation_jump_operators(channel: ResetChannel | None,
 
 def _with_rate(op: Monomial, rate: float) -> Monomial:
     return op._replace(amp=math.sqrt(rate) * op.amp)
-
-
-def decay_rates(jumps: list[Monomial], dimension: int) -> np.ndarray:
-    """diag(sum_k L_k^dag L_k): each |amp|^2 accumulated at its source row.
-
-    The no-jump Hamiltonian is H - (i/2) diag(decay_rates).
-    """
-    if not jumps:
-        return np.zeros(dimension)
-    return np.bincount(np.concatenate([op.src for op in jumps]),
-                       weights=np.concatenate([np.abs(op.amp) ** 2 for op in jumps]),
-                       minlength=dimension)
 
 
 def local_thermal_weights(omega: float, anharmonicity: float,

@@ -13,7 +13,7 @@ excitation-number sectors, with matrix elements read off the basis
 occupation table. The one operator not over a `FockBasis` is the L x L
 effective model of a single leakage pair
 (`build_effective_propagation`). No-jump Hamiltonians are not built here:
-they are H - (i/2) diag(d), with d from `channels.decay_rates`.
+they are H - (i/2) diag(d), with d from `channels.jump_table`.
 """
 
 from __future__ import annotations

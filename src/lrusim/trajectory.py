@@ -17,8 +17,8 @@ Every jump operator -- relaxation sqrt(gamma) a_l, dephasing sqrt(2 kappa)
 n_l, dissipation sqrt(Gamma) a_L, and the resets |0><n|_L -- maps each Fock
 state to at most one Fock state, so it is kept as a `lattice.Monomial` of
 (src, dst, amp) entries and every L^dag L is diagonal: the no-jump
-Hamiltonian is H - (i/2) diag(d) with one decay vector d
-(`channels.decay_rates`). The reset channel acts on the last site L.
+Hamiltonian is H - (i/2) diag(d), d the decay vector of their
+`channels.jump_table`. The reset channel acts on the last site L.
 
 The integrator is event-driven: between feedback measurements and
 observable grid points the state advances with the cached exact
@@ -38,8 +38,8 @@ Quantum jumps follow the waiting-time rule (Dalibard, Castin and Molmer,
 PRL 68, 580 (1992)): a trajectory jumps when its no-jump norm falls to a
 uniform threshold. The crossing time is solved by a bracketed Newton
 iteration on the log of the norm, whose derivative -<psi|diag(d)|psi> is
-exact (`_jump_time`); the jump channel is then drawn from the weights
-||L_k psi||^2 and applied as one scatter, both O(dim).
+exact (`_jump_time`); the jump is then drawn and applied by
+`channels.sample_jump`, the draw of the feedback measurement too.
 
 The master-equation oracle integrates its density matrix in the same
 sector, with the engine's Hamiltonian, jump operators, reset Kraus
@@ -70,13 +70,14 @@ import numpy as np
 from .channels import (
     NoiseModel,
     ResetChannel,
-    decay_rates,
+    _with_rate,
     dissipation_jump_operators,
+    jump_table,
     local_thermal_weights,
-    measure_and_reset,
     next_measurement,
     noise_jump_operators,
     reset_kraus,
+    sample_jump,
     sample_thermal_initial,
 )
 from .lattice import (
@@ -230,26 +231,14 @@ class _ChunkEngine:
         self.batch = len(self.indices)
         self.channel = config.channel
 
-        self._build_jump_operators()
+        self.jumps = jump_table(_jump_operators(config, basis), self.dim)
+        self.resets = jump_table(reset_kraus(basis), self.dim)
+        self.has_jumps = len(self.jumps.dst) > 0
         self._build_states_and_hamiltonians()
         self._init_channel_schedule()
         self._init_thresholds()
 
     # -- setup ------------------------------------------------------------
-
-    def _build_jump_operators(self):
-        jumps = noise_jump_operators(self.config.noise, self.basis)
-        jumps += dissipation_jump_operators(self.channel, self.basis)
-        self.has_jumps = bool(jumps)
-        self.n_jumps = len(jumps)
-        self.decay = decay_rates(jumps, self.dim)
-        if jumps:
-            # every operator's entries in one Monomial; operator k owns the
-            # entries bounds[k]:bounds[k + 1]
-            sizes = [op.src.size for op in jumps]
-            self.jump_entries = Monomial(*(np.concatenate(part) for part in zip(*jumps)))
-            self.jump_owner = np.repeat(np.arange(len(jumps)), sizes)
-            self.jump_bounds = np.cumsum([0, *sizes])
 
     def _build_states_and_hamiltonians(self):
         cfg, spec = self.config, self.spec
@@ -265,7 +254,7 @@ class _ChunkEngine:
             psi[row] = sample_thermal_initial(real, cfg.noise, coding, rng_th, self.basis)
 
         diagonal = np.arange(dim)
-        hams[:, diagonal, diagonal] -= 0.5j * self.decay
+        hams[:, diagonal, diagonal] -= 0.5j * self.jumps.decay
         self.evals, self.vecs, self.vinv = eigensystem(hams, hermitian=not self.has_jumps)
         self.psi = psi
         self.t_cur = np.zeros(B)
@@ -316,7 +305,7 @@ class _ChunkEngine:
         """Waiting-time jump resolution for one trajectory on [t_from, t_to]."""
         rng = self.jump_rngs[row]
         vecs, vinv, evals = self.vecs[row], self.vinv[row], self.evals[row]
-        entries = self.jump_entries
+        decay = self.jumps.decay
         psi0 = anchor
         while True:
             coeffs = vinv @ psi0
@@ -327,23 +316,9 @@ class _ChunkEngine:
                 self.psi[row] = amp_end
                 self.t_cur[row] = t_to
                 return
-            t_star, amp_star = _jump_time(vecs, evals, coeffs, self.decay, self.thresholds[row],
+            t_star, amp_star = _jump_time(vecs, evals, coeffs, decay, self.thresholds[row],
                                           span, float(np.vdot(psi0, psi0).real), n_end)
-            flows = entries.amp * amp_star[entries.src]
-            weights = np.bincount(self.jump_owner, weights=flows.real**2 + flows.imag**2,
-                                  minlength=self.n_jumps)
-            total = weights.sum()
-            if total <= 0:
-                # norm loss without any open jump channel cannot happen for
-                # the diagonal dissipators used here; guard anyway
-                self.psi[row] = amp_end
-                self.t_cur[row] = t_to
-                return
-            pick = int(np.searchsorted(np.cumsum(weights / total), rng.random(), side="right"))
-            pick = min(pick, self.n_jumps - 1)
-            own = slice(self.jump_bounds[pick], self.jump_bounds[pick + 1])
-            jumped = np.zeros_like(amp_star)
-            jumped[entries.dst[own]] = flows[own]
+            jumped, _ = sample_jump(self.jumps, amp_star, rng.random())
             psi0 = jumped / np.linalg.norm(jumped)
             self.thresholds[row] = rng.random()
             t_from = t_from + t_star
@@ -353,7 +328,7 @@ class _ChunkEngine:
     def _measure_rows(self, rows: np.ndarray):
         psi = self.psi[rows]
         draws = np.array([self.meas_rngs[int(r)].random() for r in rows])
-        reset, _ = measure_and_reset(psi, self.basis, draws)
+        reset, _ = sample_jump(self.resets, psi, draws)
         # preserve the pre-measurement norm so waiting-time bookkeeping
         # keeps tracking only the non-Hermitian (dissipative) norm loss
         scale = np.linalg.norm(psi, axis=1) / np.linalg.norm(reset, axis=1)
@@ -520,6 +495,12 @@ def _sector(config: SimulationConfig) -> FockBasis:
     return FockBasis(config.lattice.length, _max_excitations(config))
 
 
+def _jump_operators(config: SimulationConfig, basis: FockBasis) -> list[Monomial]:
+    """The background-noise and dissipation jumps of `config` over `basis`."""
+    return (noise_jump_operators(config.noise, basis)
+            + dissipation_jump_operators(config.channel, basis))
+
+
 def run_trajectory(config: SimulationConfig, index: int) -> ModelSeries:
     """Run one trajectory; deterministic in (master_seed, index)."""
     series = _ChunkEngine(config, [index], _sector(config)).run()
@@ -590,13 +571,13 @@ def _lindbladian(ham: np.ndarray, jumps: list[Monomial]) -> "scipy.sparse.csr_ma
     """Generator of d vec(rho)/dt for vec(rho)[i * dim + j] = rho[i, j], in CSR form.
 
     -i (H_eff rho - rho H_eff^dag) + sum_k L_k rho L_k^dag with H_eff = H -
-    (i/2) diag(decay_rates); each monomial L_k puts amp_a amp_b^* rho[src_a,
-    src_b] on entry [dst_a, dst_b].
+    (i/2) diag(`jump_table(jumps).decay`); each monomial L_k puts amp_a
+    amp_b^* rho[src_a, src_b] on entry [dst_a, dst_b].
     """
     from scipy import sparse
 
     dim = ham.shape[0]
-    h_eff = sparse.csr_matrix(ham - 0.5j * np.diag(decay_rates(jumps, dim)))
+    h_eff = sparse.csr_matrix(ham - 0.5j * np.diag(jump_table(jumps, dim).decay))
     eye = sparse.identity(dim, format="csr")
     gen = -1j * (sparse.kron(h_eff, eye) - sparse.kron(eye, h_eff.conj()))
     for op in jumps:
@@ -620,9 +601,9 @@ def solve_master_dense(config: SimulationConfig) -> ModelSeries:
     The density matrix lives in the engine's excitation-number sector
     (`_sector`). This is exact: H conserves N and every jump and reset
     lowers it, so rho never leaves N <= N_max; at T > 0 the sector is the
-    full space. The Hamiltonian, jump operators, reset Kraus operators
-    |0><n|_L (`channels.reset_kraus`, which `measure_and_reset` also
-    applies) and observables are the engine's, built in that basis, so
+    full space. The Hamiltonian, jump operators (`_jump_operators`), reset
+    Kraus operators |0><n|_L (`channels.reset_kraus`) and observables are
+    the engine's, built in that basis, so
     agreement with the engine checks its Born sampling, norm bookkeeping
     and measurement schedule, not the operators themselves;
     `reset_kraus` is checked against a dense lookup in the tests. rho0 is
@@ -640,13 +621,11 @@ def solve_master_dense(config: SimulationConfig) -> ModelSeries:
     real = realize_disorder(config.lattice, _disorder_seed(config.master_seed, 0))
     ham = build_bose_hubbard(real, basis)
 
-    jumps = noise_jump_operators(config.noise, basis)
-    jumps += dissipation_jump_operators(config.channel, basis)
+    jumps = _jump_operators(config, basis)
     if config.channel is not None and config.channel.is_feedback and config.channel.rate > 0:
         # measurements at rate Gamma: Gamma (sum_n K_n rho K_n^dag - rho), and
         # the Kraus set is complete, so these are jumps sqrt(Gamma) K_n
-        root = math.sqrt(config.channel.rate)
-        jumps += [k._replace(amp=root * k.amp) for k in reset_kraus(basis)]
+        jumps += [_with_rate(k, config.channel.rate) for k in reset_kraus(basis)]
     lindbladian = _lindbladian(ham, jumps)
     rho0 = _initial_density(config, real, basis)
 

@@ -9,7 +9,7 @@ eigendecomposition.
 import numpy as np
 import pytest
 
-from lrusim.channels import ResetChannel, decay_rates, dissipation_jump_operators
+from lrusim.channels import ResetChannel, dissipation_jump_operators, jump_table
 from lrusim.lattice import FockBasis, build_bose_hubbard
 
 
@@ -67,7 +67,8 @@ def basis_state(occupations) -> np.ndarray:
 def dissipative_no_jump(real, basis, rate: float) -> np.ndarray:
     """H - (i/2) diag(d) under dissipation sqrt(rate) a_L, the rule the engine runs."""
     jumps = dissipation_jump_operators(ResetChannel("dissipation", rate), basis)
-    return build_bose_hubbard(real, basis) - 0.5j * np.diag(decay_rates(jumps, basis.dimension))
+    decay = jump_table(jumps, basis.dimension).decay
+    return build_bose_hubbard(real, basis) - 0.5j * np.diag(decay)
 
 
 def evolve_dense_oracle(ham: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:

@@ -373,3 +373,37 @@ def test_nan_rate_rejected(call):
     # still reject it instead of returning NaN (or failing further on)
     with pytest.raises(ValueError, match="positive|non-negative|>= 0"):
         call()
+
+
+INF = math.inf
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: diss_norm_general_L(3, -1.0, 1.0, [0, 1, 2], "low"),
+                 id="diss_norm_general_L-negative"),
+    pytest.param(lambda: diss_norm_general_L(3, NAN, 1.0, 1.0, "low"),
+                 id="diss_norm_general_L-nan"),
+    pytest.param(lambda: diss_norm_general_L(3, INF, 1.0, 1.0, "low"),
+                 id="diss_norm_general_L-inf"),
+    pytest.param(lambda: diss_norm_general_L(3, 0.0, 1.0, 1.0, "high"),
+                 id="diss_norm_general_L-zero-high"),
+    pytest.param(lambda: diss_norm_general_L(3, 0.0, 1.0, 1.0, "high", borders=True),
+                 id="diss_norm_general_L-zero-high-borders"),
+    pytest.param(lambda: fb_leakage_rate_high(1.0, 1.0, NAN), id="fb_leakage_rate_high-U"),
+    pytest.param(lambda: fb_leakage_rate_high(0.0, 1.0, 0.0), id="fb_leakage_rate_high-zero"),
+    pytest.param(lambda: fb_leakage_rate_high(INF, 1.0, 10.0), id="fb_leakage_rate_high-inf"),
+    pytest.param(lambda: diss_rate_high(1.0, 1.0, NAN), id="diss_rate_high-U"),
+    pytest.param(lambda: diss_rate_high(0.0, 1.0, 0.0), id="diss_rate_high-zero"),
+    pytest.param(lambda: diss_rate_high(INF, 1.0, 10.0), id="diss_rate_high-inf"),
+    pytest.param(lambda: fb_qubit_times(1.0, 1.0, NAN), id="fb_qubit_times-detuning"),
+    pytest.param(lambda: fb_qubit_times(INF, 1.0, 5.0), id="fb_qubit_times-inf"),
+    pytest.param(lambda: diss_qubit_times(1.0, 1.0, NAN), id="diss_qubit_times-detuning"),
+    pytest.param(lambda: diss_qubit_times(1.0, 1.0, 5.0, length=3, intermediate_detunings=[NAN]),
+                 id="diss_qubit_times-intermediate"),
+    pytest.param(lambda: diss_qubit_times(INF, 1.0, 5.0), id="diss_qubit_times-inf"),
+])
+def test_out_of_domain_rejected(call):
+    # each of these returned a norm above 1, NaN, or failed with
+    # ZeroDivisionError instead of a ValueError
+    with pytest.raises(ValueError):
+        call()

@@ -5,16 +5,26 @@ import numpy as np
 import pytest
 
 from lrusim.channels import (
+    PROJECTION_EPS,
     NoiseModel,
     ResetChannel,
     StepTooLargeError,
+    dissipation_jump_operators,
+    jump_table,
     local_thermal_weights,
-    measure_and_reset,
     next_measurement,
     noise_jump_operators,
+    reset_kraus,
+    sample_jump,
     sample_thermal_initial,
 )
-from lrusim.lattice import FockBasis, LatticeSpec, build_site_operator, realize_disorder
+from lrusim.lattice import (
+    FockBasis,
+    LatticeSpec,
+    Monomial,
+    build_site_operator,
+    realize_disorder,
+)
 from lrusim.trajectory import SimulationConfig, run_ensemble, run_trajectory
 
 from conftest import basis_state, born_oracle, densify, reset_kraus_oracle
@@ -101,12 +111,41 @@ class TestMeasurementTimes:
         assert next_measurement(None, 0.1, rng) == math.inf
 
 
+def measure(amplitudes, basis, draws):
+    """The engine's feedback measurement: `sample_jump` over the reset table."""
+    return sample_jump(jump_table(reset_kraus(basis), basis.dimension), amplitudes, draws)
+
+
+def operators(kind, basis):
+    """The operators of one kind of table the engine draws from."""
+    if kind == "reset":
+        return list(reset_kraus(basis))
+    return (noise_jump_operators(NoiseModel(relaxation_rate=0.3, dephasing_rate=0.2), basis)
+            + dissipation_jump_operators(ResetChannel("dissipation", 1.5), basis))
+
+
+#: The reset Kraus operators and the noise-plus-dissipation jumps, over a
+#: full space and a sector; K_2 of the reset has no entry in FockBasis(3, 1).
+TABLES = [pytest.param(kind, length, n_max, id=f"{kind}-L{length}-N{n_max}")
+          for kind, length, n_max in (("reset", 2, None), ("reset", 3, 1),
+                                      ("jumps", 2, None), ("jumps", 3, 2))]
+
+
+def random_state(rng, dimension):
+    return rng.normal(size=dimension) + 1j * rng.normal(size=dimension)
+
+
 class TestFeedbackMeasurement:
-    """`measure_and_reset` on single states, one uniform draw each."""
+    """`sample_jump`, the one Born draw of feedback measurements and quantum jumps.
+
+    The first tests measure with the reset table, one uniform draw per
+    state; the parametrized ones run every kind of table against the dense
+    products ||A_k psi||^2 and A_k psi of its operators.
+    """
 
     def test_deterministic_projection(self, rng):
         basis = FockBasis(2)
-        out, outcome = measure_and_reset(basis_state([0, 2]), basis, rng.random())
+        out, outcome = measure(basis_state([0, 2]), basis, rng.random())
         assert outcome == 2
         expected = basis_state([0, 0])
         assert np.abs(out - expected).max() < 1e-12
@@ -116,7 +155,7 @@ class TestFeedbackMeasurement:
         psi = (basis_state([0, 1]) + basis_state([0, 0])) / np.sqrt(2)
         seen = set()
         for _ in range(200):
-            out, outcome = measure_and_reset(psi, basis, rng.random())
+            out, outcome = measure(psi, basis, rng.random())
             seen.add(int(outcome))
             # either way the measured site ends in |0>
             probs = born_oracle(out, basis.occupations)
@@ -131,7 +170,7 @@ class TestFeedbackMeasurement:
         psi = amp / np.linalg.norm(amp)
         probs = born_oracle(psi, basis.occupations)
         n_samples = 100_000
-        _, outcomes = measure_and_reset(np.broadcast_to(psi, (n_samples, 9)), basis,
+        _, outcomes = measure(np.broadcast_to(psi, (n_samples, 9)), basis,
                                         rng.random(n_samples))
         freq = np.bincount(outcomes, minlength=3) / n_samples
         sigma = np.sqrt(probs * (1 - probs) / n_samples)
@@ -143,7 +182,7 @@ class TestFeedbackMeasurement:
         amp = rng.normal(size=27) + 1j * rng.normal(size=27)
         psi = amp / np.linalg.norm(amp)
         number = build_site_operator(basis, 3, "number")
-        out, _ = measure_and_reset(psi, basis, rng.random())
+        out, _ = measure(psi, basis, rng.random())
         occ = np.vdot(out, number @ out).real
         assert occ == pytest.approx(0.0, abs=1e-12)
 
@@ -153,12 +192,12 @@ class TestFeedbackMeasurement:
         amps = rng.normal(size=(2, 3, 27)) + 1j * rng.normal(size=(2, 3, 27))
         draws = rng.random((2, 3))
         probs = born_oracle(amps, basis.occupations)
-        reset, outcomes = measure_and_reset(amps, basis, draws)
+        reset, outcomes = measure(amps, basis, draws)
         assert probs.shape == (2, 3, 3) and outcomes.shape == (2, 3)
         for idx in np.ndindex(2, 3):
             psi = amps[idx] / np.linalg.norm(amps[idx])
             assert np.allclose(probs[idx], born_oracle(psi, basis.occupations))
-            out, outcome = measure_and_reset(amps[idx], basis, draws[idx])
+            out, outcome = measure(amps[idx], basis, draws[idx])
             assert outcome == outcomes[idx]
             # the batch keeps the branch norm: sqrt(p_outcome) of the input norm
             norm = np.linalg.norm(reset[idx])
@@ -178,13 +217,103 @@ class TestFeedbackMeasurement:
             psi = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
             probs = born_oracle(psi, basis.occupations)
             draws = (np.cumsum(probs) - 0.5 * probs)[levels]
-            reset, outcomes = measure_and_reset(np.broadcast_to(psi, (levels.size, psi.size)),
+            reset, outcomes = measure(np.broadcast_to(psi, (levels.size, psi.size)),
                                                 basis, draws)
             assert np.array_equal(outcomes, levels)
             for out, n, draw in zip(reset, outcomes, draws):
                 assert np.array_equal(out, kraus[n] @ psi), n
-                single, outcome = measure_and_reset(psi, basis, draw)
+                single, outcome = measure(psi, basis, draw)
                 assert outcome == n and np.array_equal(single, out), n
+
+    @pytest.mark.parametrize("kind, length, n_max", TABLES)
+    def test_applies_the_drawn_operator(self, rng, kind, length, n_max):
+        # a draw in the middle of each operator's Born interval picks it and
+        # applies it, in a batch and one state at a time
+        basis = FockBasis(length, n_max)
+        ops = operators(kind, basis)
+        table = jump_table(ops, basis.dimension)
+        dense = [densify(op, basis.dimension) for op in ops]
+        for _ in range(5):
+            psi = random_state(rng, basis.dimension)
+            weights = np.array([np.linalg.norm(op @ psi) ** 2 for op in dense])
+            probs = weights / weights.sum()
+            drawn = np.flatnonzero(probs > PROJECTION_EPS)
+            draws = (np.cumsum(probs) - 0.5 * probs)[drawn]
+            out, picks = sample_jump(table, np.broadcast_to(psi, (drawn.size, psi.size)), draws)
+            assert np.array_equal(picks, drawn)
+            for row, k, draw in zip(out, picks, draws):
+                np.testing.assert_allclose(row, dense[k] @ psi, rtol=1e-14, atol=1e-15)
+                single, pick = sample_jump(table, psi, draw)
+                assert pick == k and np.array_equal(single, row), k
+
+    @pytest.mark.parametrize("kind, length, n_max", TABLES)
+    def test_born_statistics_of_every_table(self, rng, kind, length, n_max):
+        basis = FockBasis(length, n_max)
+        ops = operators(kind, basis)
+        psi = random_state(rng, basis.dimension)
+        weights = np.array([np.linalg.norm(densify(op, basis.dimension) @ psi) ** 2
+                            for op in ops])
+        probs = weights / weights.sum()
+        n_samples = 20_000
+        _, picks = sample_jump(jump_table(ops, basis.dimension),
+                               np.broadcast_to(psi, (n_samples, psi.size)),
+                               rng.random(n_samples))
+        freq = np.bincount(picks, minlength=len(ops)) / n_samples
+        sigma = np.sqrt(probs * (1 - probs) / n_samples)
+        assert np.all(np.abs(freq - probs) < 3.5 * sigma + 1e-12)
+
+    @pytest.mark.parametrize("kind, length, n_max", TABLES)
+    def test_decay_is_the_dense_sum(self, kind, length, n_max):
+        # the column sums of the table are diag(sum_k A_k^dag A_k)
+        basis = FockBasis(length, n_max)
+        ops = operators(kind, basis)
+        dense = sum(op.conj().T @ op for op in (densify(o, basis.dimension) for o in ops))
+        assert np.allclose(np.diag(jump_table(ops, basis.dimension).decay), dense,
+                           rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("length", [2, 3])
+    def test_operator_without_entries_is_never_drawn(self, rng, length):
+        # no state of FockBasis(L, 1) has n = 2 on the last site, so K_2 is
+        # all spare column; 1.0 stands in for a draw at or above a last
+        # cumulative sum that rounded below 1
+        basis = FockBasis(length, 1)
+        table = jump_table(reset_kraus(basis), basis.dimension)
+        assert np.all(table.dst[2] == basis.dimension) and not table.amp[2].any()
+        draws = np.array([0.0, 0.5, np.nextafter(1.0, 0.0), 1.0])
+        for _ in range(5):
+            psi = random_state(rng, basis.dimension)
+            out, picks = sample_jump(table, np.broadcast_to(psi, (draws.size, psi.size)), draws)
+            assert np.all(picks < 2)
+            assert np.all(np.linalg.norm(out, axis=1) > 0)
+
+    @pytest.mark.parametrize("kind, main, tiny", [("reset", [0, 1], [0, 0]),
+                                                  ("jumps", [0, 1], [1, 0])])
+    def test_operator_below_cutoff_is_never_drawn(self, kind, main, tiny):
+        # operator 0 acts only on the 1e-9 admixture, a Born weight near
+        # 1e-18: without the PROJECTION_EPS cut a zero draw would pick it
+        basis = FockBasis(2)
+        ops = operators(kind, basis)
+        psi = basis_state(main) + 1e-9 * basis_state(tiny)
+        weights = np.array([np.linalg.norm(densify(op, 9) @ psi) ** 2 for op in ops])
+        assert 0 < weights[0] < PROJECTION_EPS * weights.sum()
+        out, pick = sample_jump(jump_table(ops, 9), psi, 0.0)
+        assert pick == 1
+        np.testing.assert_allclose(out, densify(ops[1], 9) @ psi, rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("kind, state", [("reset", None), ("jumps", [0, 0])])
+    def test_zero_total_raises(self, kind, state):
+        # the zero state for the reset; the vacuum, which no jump acts on
+        basis = FockBasis(2)
+        psi = np.zeros(9, dtype=complex) if state is None else basis_state(state)
+        with pytest.raises(ValueError, match="no operator"):
+            sample_jump(jump_table(operators(kind, basis), 9), psi, 0.5)
+
+    @pytest.mark.parametrize("src, dst", [([0, 1], [2, 2]), ([1, 1], [0, 2])])
+    def test_table_rejects_repeated_rows(self, src, dst):
+        # the scatter writes each operator's entries in one assignment
+        op = Monomial(np.array(src), np.array(dst), np.ones(2))
+        with pytest.raises(ValueError, match="repeats"):
+            jump_table([op], 3)
 
 
 class TestNoiseOperators:

@@ -11,17 +11,25 @@ physics test.
 `solve_master_dense` looks it up on the module at call time. It must stay
 patchable as `lrusim.trajectory.solve_ivp`, which
 `test_oracle_looks_up_solve_ivp_when_called` checks.
+
+No linter runs on the package, so `test_every_import_is_used` stands in
+for one: a name a module imports and never uses is a leftover. The only
+imports allowed to go unused are `__future__` features, the names
+`lrusim.__init__` re-exports in `__all__`, and the names the tracer swaps
+on `lrusim.trajectory`.
 """
 
 import ast
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import lrusim
 import lrusim.trajectory
 
 SPANS = Path(__file__).resolve().parents[1] / "lrubench" / "spans.py"
+PACKAGE = Path(lrusim.__file__).resolve().parent
 
 
 def module_constant(path: Path, name: str):
@@ -83,3 +91,44 @@ def test_oracle_looks_up_solve_ivp_when_called(monkeypatch):
     lrusim.solve_master_dense(config)
     # one integration of the density over the N <= 2 sector of ket2 (15 of 81 states)
     assert sizes == [15 * 15]
+
+
+def test_ensemble_draws_jumps_and_measurements_with_sample_jump(monkeypatch):
+    operator_counts = []
+    sample_jump = lrusim.trajectory.sample_jump
+
+    def recording_sample_jump(table, amplitudes, draws):
+        operator_counts.append(len(table.dst))
+        return sample_jump(table, amplitudes, draws)
+
+    monkeypatch.setattr(lrusim.trajectory, "sample_jump", recording_sample_jump)
+    config = lrusim.SimulationConfig(
+        lattice=lrusim.LatticeSpec(2, 0.0, 10.0, 1.0),
+        channel=lrusim.ResetChannel("random_feedback", 1.0),
+        t_max=4.0, dt=0.05, n_trajectories=8, noise=lrusim.NoiseModel(relaxation_rate=0.5),
+    )
+    lrusim.run_ensemble(config)
+    # the three reset Kraus operators for measurements, and the two
+    # relaxation jumps sqrt(gamma) a_l of an L = 2 chain
+    assert set(operator_counts) == {3, 2}
+
+
+def unused_imports(path: Path) -> set[str]:
+    """Names a module imports, outside `__future__`, that none of its code reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_every_import_is_used(path):
+    allowed = {
+        "__init__": set(lrusim.__all__),
+        "trajectory": set(module_constant(SPANS, "TRAJECTORY_NAMES")),
+    }
+    assert unused_imports(path) - allowed.get(path.stem, set()) == set()

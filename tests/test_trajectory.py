@@ -30,8 +30,8 @@ from lrusim import (
 )
 from lrusim.analytics import diss_rate_high, fb_leakage_rate_high
 from lrusim.channels import (
-    decay_rates,
     dissipation_jump_operators,
+    jump_table,
     local_thermal_weights,
     next_measurement,
     noise_jump_operators,
@@ -433,7 +433,7 @@ def no_jump_system(spec, noise, channel, basis):
     """H_eff = H - (i/2) diag(decay) of a chain, with its eigensystem."""
     jumps = noise_jump_operators(noise, basis)
     jumps += dissipation_jump_operators(channel, basis)
-    decay = decay_rates(jumps, basis.dimension)
+    decay = jump_table(jumps, basis.dimension).decay
     h_eff = build_bose_hubbard(realize_disorder(spec, 0), basis) - 0.5j * np.diag(decay)
     return h_eff, decay, eigensystem(h_eff, hermitian=False)
 
