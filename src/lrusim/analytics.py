@@ -33,12 +33,11 @@ def _check_rates(*rates: float) -> None:
 def disintegration_frequency(anharmonicity: float, hopping: float) -> float:
     """Oscillation frequency sqrt(U^2 + 16 J^2) between the anharmonicity manifolds.
 
-    Raises ValueError unless U > 0 and J >= 0.
+    Raises ValueError unless U > 0 and J >= 0, both finite.
     """
-    if not anharmonicity > 0:
-        raise ValueError("anharmonicity must be positive")
-    if not hopping >= 0:
-        raise ValueError("hopping must be non-negative")
+    if not 0 < anharmonicity < math.inf:
+        raise ValueError("anharmonicity must be positive and finite")
+    _check_rates(hopping)
     return math.hypot(anharmonicity, 4.0 * hopping)
 
 
@@ -49,7 +48,7 @@ def two_site_populations(anharmonicity: float, hopping: float, t: float,
     `initial` is "localized" for a leakage pair on site 1 or "symmetric" for
     (|20> + |02>)/sqrt(2). Closed forms of the resonant 3x3 sector; the sum
     of the three populations is one. Raises ValueError unless U > 0 and
-    J >= 0.
+    J >= 0, both finite.
     """
     u, j = anharmonicity, hopping
     w = disintegration_frequency(u, j)
@@ -133,8 +132,8 @@ def diss_norm_exact_L2(rate_d: float, j_prop: float, t) -> np.ndarray:
     trigonometric branch below the exceptional point Gamma = 2 J_prop,
     hyperbolic above, polynomial limit inside a narrow guard band.
     """
-    if not (rate_d >= 0 and j_prop > 0):
-        raise ValueError("need rate >= 0 and j_prop > 0")
+    if not (0 <= rate_d < math.inf and 0 < j_prop < math.inf):
+        raise ValueError("need finite rate >= 0 and j_prop > 0")
     t = np.asarray(t, dtype=float)
     g, jp = rate_d, j_prop
     gap = g**2 - 4.0 * jp**2
@@ -274,6 +273,8 @@ def liouvillian_qubit_gap(detuning: float, drive: float, rate_st: float) -> comp
     b/D << 1, warned above 0.35).
     """
     _check_rates(rate_st)
+    if not (math.isfinite(detuning) and math.isfinite(drive)):
+        raise ValueError("detuning and drive must be finite")
     if detuning == 0:
         disc = rate_st**2 - 16.0 * drive**2
         if abs(disc) <= (EP_GUARD * max(rate_st, 1e-300)) ** 2:

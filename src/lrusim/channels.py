@@ -6,8 +6,8 @@ jump operator sqrt(Gamma) a_L. The measurement's Kraus operators |0><n|_L
 are built in one place, `reset_kraus`, and read both by the engine's
 measurement and by the oracle's measurement dissipator. Feedback
 measurements follow one schedule (`next_measurement`): periodic with a
-uniformly random first time, or at random times with geometric gaps over
-steps of dt.
+uniformly random first time, or at the times of a Poisson process, whose
+gaps are exponential.
 A feedback measurement and a quantum jump are one step, `sample_jump`:
 Born-sample an operator of a `jump_table` and apply it.
 Background noise enters as per-site relaxation and dephasing jump
@@ -37,10 +37,6 @@ CHANNEL_KINDS = ("periodic_feedback", "random_feedback", "dissipation")
 
 #: Born-rule support cutoff: outcomes below this probability are excluded.
 PROJECTION_EPS = 1e-15
-
-
-class StepTooLargeError(Exception):
-    """Per-step event probability rate*dt reached one; reduce dt."""
 
 
 @dataclass(frozen=True)
@@ -80,16 +76,16 @@ class NoiseModel:
             raise ValueError("noise rates and temperature must be non-negative and finite")
 
 
-def next_measurement(channel: ResetChannel | None, dt: float, rng,
+def next_measurement(channel: ResetChannel | None, rng,
                      after: float | None = None) -> float:
     """Time of the feedback measurement that follows the one at `after`.
 
     With `after` None this is the first measurement. Periodic: the first
     time is uniform on [0, 1/rate), because the leakage creation time is
-    unknown, and each next one comes 1/rate later. Random: the gap is k*dt
-    with k geometric, P(k) = p (1 - p)^(k - 1) for p = rate*dt, the first
-    event of one Bernoulli draw per step, which realizes a Poisson process
-    of the given rate for small dt; p >= 1 raises StepTooLargeError.
+    unknown, and each next one comes 1/rate later. Random: the times of a
+    Poisson process of the given rate, the process the measurement
+    dissipator of the master equation models; each gap is exponential,
+    -log(1 - u)/rate for one uniform u.
     A channel that does not measure (None, dissipation, or rate 0) gives inf.
     """
     if channel is None or not channel.is_feedback or channel.rate == 0:
@@ -97,11 +93,8 @@ def next_measurement(channel: ResetChannel | None, dt: float, rng,
     if channel.kind == "periodic_feedback":
         period = 1.0 / channel.rate
         return rng.uniform(0.0, period) if after is None else after + period
-    p = channel.rate * dt
-    if p >= 1:
-        raise StepTooLargeError(f"rate*dt = {p:.3f} >= 1")
-    k = 1 + int(math.floor(math.log1p(-rng.random()) / math.log1p(-p)))
-    return k * dt if after is None else after + k * dt
+    gap = -math.log1p(-rng.random()) / channel.rate
+    return gap if after is None else after + gap
 
 
 @functools.lru_cache(maxsize=16)

@@ -301,8 +301,8 @@ def build_effective_propagation(spec: LatticeSpec, rate: float = 0.0) -> np.ndar
     empties the pair state |2> at 2*rate, so the chain's no-jump rule
     H - (i/2) diag(d) subtracts i*rate at the last position.
     """
-    if not rate >= 0:
-        raise ValueError("rate must be non-negative")
+    if not 0 <= rate < math.inf:
+        raise ValueError("rate must be non-negative and finite")
     L = spec.length
     jp = spec.hopping_effective
     mat = np.zeros((L, L), dtype=complex)

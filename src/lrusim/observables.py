@@ -97,8 +97,8 @@ def coherence_envelope(series) -> np.ndarray:
 
 def propagation_time(hopping: float, anharmonicity: float) -> float:
     """Single-hop transport time of a leakage pair, pi U / (4 J^2)."""
-    if not (hopping > 0 and anharmonicity > 0):
-        raise ValueError("need positive hopping and anharmonicity")
+    if not (0 < hopping < math.inf and 0 < anharmonicity < math.inf):
+        raise ValueError("need positive, finite hopping and anharmonicity")
     return math.pi * anharmonicity / (4.0 * hopping**2)
 
 

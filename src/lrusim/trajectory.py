@@ -31,9 +31,10 @@ points are recorded at once. A block ends a trajectory's stretch at its
 first event: a feedback measurement due at or before a grid point, or a
 no-jump norm below its jump threshold (the norm never increases between
 jumps, so the first such grid point follows the jump). That grid point
-is stepped on its own: measurements due at or before it are applied
-first, each after the jumps before it, then the state advances to the
-grid point, resolving jumps on the way, and only then is it recorded.
+is stepped on its own: measurements due at or before it (compared
+exactly) are applied first, each after the jumps before it, then the
+state advances to the grid point, resolving jumps on the way, and only
+then is it recorded.
 Quantum jumps follow the waiting-time rule (Dalibard, Castin and Molmer,
 PRL 68, 580 (1992)): a trajectory jumps when its no-jump norm falls to a
 uniform threshold. The crossing time is solved by a bracketed Newton
@@ -112,8 +113,6 @@ CODING_STATES = {
     "plus": np.array([1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0),
 }
 
-_TIME_EPS = 1e-9
-
 #: Complex entries of one block of no-jump states (trajectories x grid
 #: points x sector dimension). The block length follows from this and the
 #: chunk's shape only, never from the worker count.
@@ -128,7 +127,11 @@ _JUMP_TIME_EVALUATIONS = 100
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Full description of one ensemble run."""
+    """Full description of one ensemble run.
+
+    `dt` only scales the observable grid, of spacing `observable_dt`:
+    measurements and jumps happen in continuous time.
+    """
 
     lattice: LatticeSpec
     channel: ResetChannel | None
@@ -264,7 +267,7 @@ class _ChunkEngine:
         measuring = self.channel is not None and self.channel.is_feedback
         self.meas_rngs = [_stream(cfg.master_seed, idx, 2) if measuring else None
                           for idx in self.indices]
-        self.next_meas = np.array([next_measurement(self.channel, cfg.dt, rng)
+        self.next_meas = np.array([next_measurement(self.channel, rng)
                                    for rng in self.meas_rngs])
 
     def _init_thresholds(self):
@@ -290,7 +293,6 @@ class _ChunkEngine:
     def _advance_to(self, rows: np.ndarray, targets: np.ndarray):
         """Advance rows to absolute times, resolving jumps on the way."""
         taus = targets - self.t_cur[rows]
-        taus = np.where(taus > 0, taus, 0.0)
         anchors = self.psi[rows].copy()
         t_from = self.t_cur[rows].copy()
         self._evolve_rows(rows, taus)
@@ -335,10 +337,9 @@ class _ChunkEngine:
         self.psi[rows] = reset * scale[:, None]
 
     def _schedule_next_measurement(self, rows: np.ndarray):
-        for r in rows:
-            r = int(r)
-            self.next_meas[r] = next_measurement(self.channel, self.config.dt,
-                                                 self.meas_rngs[r], float(self.next_meas[r]))
+        for r in rows.tolist():
+            self.next_meas[r] = next_measurement(self.channel, self.meas_rngs[r],
+                                                 self.next_meas[r])
 
     # -- main loop -----------------------------------------------------------
 
@@ -373,7 +374,7 @@ class _ChunkEngine:
             amps = self._no_jump_block(sel, times[:, 0], steps[sel])
             norms = (np.einsum("rki,rki->rk", amps.real, amps.real)
                      + np.einsum("rki,rki->rk", amps.imag, amps.imag))
-            due = self.next_meas[sel, None] <= times + _TIME_EPS * np.maximum(times, 1.0)
+            due = self.next_meas[sel, None] <= times
             # the no-jump norm never increases, so the first grid point below
             # the jump threshold is the first one after the jump
             event = (due | (norms < self.thresholds[sel, None])) & on_grid
@@ -404,14 +405,13 @@ class _ChunkEngine:
         coefficients V^-1 psi are phased from t_cur to t_first once.
         """
         coeffs = np.matmul(self.vinv[rows], self.psi[rows, :, None])[:, :, 0]
-        lead = np.maximum(t_first - self.t_cur[rows], 0.0)
+        lead = t_first - self.t_cur[rows]
         coeffs *= np.exp(-1j * self.evals[rows] * lead[:, None])
         return np.matmul(coeffs[:, None, :] * steps, self.vecs[rows].swapaxes(-1, -2))
 
     def _step_to(self, rows: np.ndarray, targets: np.ndarray) -> dict[str, np.ndarray]:
         """Step rows to their grid points `targets` through every event, and their series there."""
-        eps = _TIME_EPS * np.maximum(targets, 1.0)
-        while (pending := self.next_meas[rows] <= targets + eps).any():
+        while (pending := self.next_meas[rows] <= targets).any():
             measured = rows[pending]
             self._advance_to(measured, self.next_meas[measured])
             self._measure_rows(measured)
@@ -594,9 +594,10 @@ def solve_master_dense(config: SimulationConfig) -> ModelSeries:
     Intended as a small-system oracle (the density matrix is dense). The
     disorder is drawn once from the master seed, so quantitative comparison
     against a trajectory ensemble -- which redraws disorder per trajectory --
-    is meaningful at zero disorder. Feedback channels enter through the
-    projector dissipator of randomly timed measurements; engineered
-    dissipation and background noise through their standard jump operators.
+    is meaningful at zero disorder. Random feedback enters through the
+    dissipator of measurements at Poisson times; engineered dissipation and
+    background noise through their standard jump operators. Periodic
+    feedback has no master equation of this form, so it raises ValueError.
 
     The density matrix lives in the engine's excitation-number sector
     (`_sector`). This is exact: H conserves N and every jump and reset
@@ -615,6 +616,8 @@ def solve_master_dense(config: SimulationConfig) -> ModelSeries:
     of rho, built once; the integrator only multiplies by it, on
     `config.time_grid` with rtol 1e-9 and atol 1e-11.
     """
+    if config.channel is not None and config.channel.kind == "periodic_feedback":
+        raise ValueError("the master equation models random (Poisson) feedback, not periodic")
     basis = _sector(config)
     dim = basis.dimension
     grid = config.time_grid

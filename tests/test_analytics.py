@@ -407,3 +407,25 @@ def test_out_of_domain_rejected(call):
     # ZeroDivisionError instead of a ValueError
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: diss_norm_exact_L2(INF, 1.0, 1.0), id="diss_norm_exact_L2-rate"),
+    pytest.param(lambda: diss_norm_exact_L2(1.0, INF, [0.0, 1.0]), id="diss_norm_exact_L2-jprop"),
+    pytest.param(lambda: liouvillian_qubit_gap(NAN, 0.1, 1.0), id="liouvillian_qubit_gap-detuning"),
+    pytest.param(lambda: liouvillian_qubit_gap(0.0, NAN, 1.0), id="liouvillian_qubit_gap-drive"),
+    pytest.param(lambda: liouvillian_qubit_gap(0.0, INF, 1.0), id="liouvillian_qubit_gap-inf"),
+    pytest.param(lambda: propagation_time(INF, 1.0), id="propagation_time-J"),
+    pytest.param(lambda: propagation_time(1.0, INF), id="propagation_time-U"),
+    pytest.param(lambda: disintegration_frequency(INF, 1.0), id="disintegration_frequency-U"),
+    pytest.param(lambda: disintegration_frequency(10.0, INF), id="disintegration_frequency-J"),
+    pytest.param(lambda: two_site_populations(INF, 1.0, 1.0), id="two_site_populations"),
+    pytest.param(lambda: build_effective_propagation(LatticeSpec(2, 0.0, 10.0, 1.0), INF),
+                 id="build_effective_propagation"),
+])
+def test_non_finite_input_rejected(call):
+    # each of these returned NaN, or a finite value that is wrong
+    # (liouvillian_qubit_gap with a NaN drive read -1, propagation_time with
+    # an infinite hopping read 0), instead of raising
+    with pytest.raises(ValueError, match="finite"):
+        call()

@@ -8,7 +8,6 @@ from lrusim.channels import (
     PROJECTION_EPS,
     NoiseModel,
     ResetChannel,
-    StepTooLargeError,
     dissipation_jump_operators,
     jump_table,
     local_thermal_weights,
@@ -44,13 +43,13 @@ class _FixedUniform:
         return self.value
 
 
-def measurement_schedule(channel, t_max, rng, dt=0.1):
+def measurement_schedule(channel, t_max, rng):
     """Every time next_measurement gives in [0, t_max], as the engine walks it."""
     times = []
-    t = next_measurement(channel, dt, rng)
-    while t <= t_max + 1e-9:
+    t = next_measurement(channel, rng)
+    while t <= t_max:
         times.append(t)
-        t = next_measurement(channel, dt, rng, t)
+        t = next_measurement(channel, rng, t)
     return np.array(times)
 
 
@@ -79,7 +78,7 @@ class TestMeasurementTimes:
     def test_zero_rate_empty(self, rng):
         for kind in ("periodic_feedback", "random_feedback"):
             chan = ResetChannel(kind, rate=0.0)
-            assert next_measurement(chan, 0.1, rng) == math.inf
+            assert next_measurement(chan, rng) == math.inf
             assert measurement_schedule(chan, 10.0, rng).size == 0
 
     def test_random_event_count_statistics(self, rng):
@@ -88,27 +87,26 @@ class TestMeasurementTimes:
         n_draws = 10_000
         counts = np.empty(n_draws)
         for k in range(n_draws):
-            counts[k] = measurement_schedule(chan, 10.0, rng, dt=0.01).size
+            counts[k] = measurement_schedule(chan, 10.0, rng).size
         assert abs(counts.mean() - 10.0) < 0.3
 
-    def test_random_gaps_are_geometric(self, rng):
-        # one Bernoulli draw per step with p = rate * dt = 0.2: the first
-        # event is at k dt with P(k) = p (1 - p)^(k - 1)
-        chan = ResetChannel("random_feedback", rate=2.0)
-        dt, p = 0.1, 0.2
-        n_draws = 20_000
-        gaps = np.array([next_measurement(chan, dt, rng) for _ in range(n_draws)])
-        steps = np.round(gaps / dt)
-        assert np.all(steps >= 1)
-        assert np.abs(gaps - steps * dt).max() < 1e-12
-        for k, expected in ((1, p), (2, p * (1 - p))):
-            freq = np.mean(steps == k)
-            sigma = math.sqrt(expected * (1 - expected) / n_draws)
-            assert abs(freq - expected) < 4 * sigma, k
+    def test_random_gaps_are_exponential(self, rng):
+        # the gaps of a Poisson process: P(gap > t) = exp(-rate t), for the
+        # first gap and for one after a measurement
+        rate, n_draws = 2.0, 20_000
+        chan = ResetChannel("random_feedback", rate=rate)
+        firsts = np.array([next_measurement(chan, rng) for _ in range(n_draws)])
+        laters = np.array([next_measurement(chan, rng, 5.0) - 5.0 for _ in range(n_draws)])
+        for gaps in (firsts, laters):
+            assert np.all(gaps >= 0)
+            for t in (0.05, 0.2, 0.5, 1.0, 2.0):
+                expected = math.exp(-rate * t)
+                sigma = math.sqrt(expected * (1 - expected) / n_draws)
+                assert abs(np.mean(gaps > t) - expected) < 4 * sigma, t
 
     def test_dissipation_has_no_times(self, rng):
-        assert next_measurement(ResetChannel("dissipation", rate=1.0), 0.1, rng) == math.inf
-        assert next_measurement(None, 0.1, rng) == math.inf
+        assert next_measurement(ResetChannel("dissipation", rate=1.0), rng) == math.inf
+        assert next_measurement(None, rng) == math.inf
 
 
 def measure(amplitudes, basis, draws):
@@ -392,13 +390,16 @@ class TestJumpStep:
         assert max_z(ens, exact, "occupation_site1") < Z_BOUND
         assert ens.occupation_site1[-1] < 0.1
 
-    def test_too_large_dt_raises(self):
-        # random feedback draws one Bernoulli event per dt with p = rate * dt
-        channel = ResetChannel("random_feedback", rate=10.0)
-        config = single_site_config("ket2", t_max=1.0, dt=0.1, n_trajectories=4,
-                                    channel=channel)
-        with pytest.raises(StepTooLargeError):
-            run_ensemble(config)
+    def test_random_feedback_survival_is_exponential(self):
+        # one site in |2>: the first measurement empties it, so the leakage
+        # survives until the first time of a Poisson process, with exp(-rate t).
+        # rate * dt = 0.5 here: measurement times must not depend on dt
+        rate = 10.0
+        config = single_site_config("ket2", t_max=0.5, dt=0.05, n_trajectories=2000,
+                                    channel=ResetChannel("random_feedback", rate))
+        ens = run_ensemble(config)
+        exact = SimpleNamespace(leakage_total=np.exp(-rate * ens.time_grid))
+        assert max_z(ens, exact, "leakage_total") < Z_BOUND
 
 
 class TestThermalSampling:

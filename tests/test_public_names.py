@@ -16,7 +16,9 @@ No linter runs on the package, so `test_every_import_is_used` stands in
 for one: a name a module imports and never uses is a leftover. The only
 imports allowed to go unused are `__future__` features, the names
 `lrusim.__init__` re-exports in `__all__`, and the names the tracer swaps
-on `lrusim.trajectory`.
+on `lrusim.trajectory`. Likewise `test_every_definition_is_referenced`: a
+module-level function, class or constant of the package that no code of
+the package, its tests or the benchmark names is an orphan.
 """
 
 import ast
@@ -28,7 +30,8 @@ import pytest
 import lrusim
 import lrusim.trajectory
 
-SPANS = Path(__file__).resolve().parents[1] / "lrubench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "lrubench" / "spans.py"
 PACKAGE = Path(lrusim.__file__).resolve().parent
 
 
@@ -132,3 +135,40 @@ def test_every_import_is_used(path):
         "trajectory": set(module_constant(SPANS, "TRAJECTORY_NAMES")),
     }
     assert unused_imports(path) - allowed.get(path.stem, set()) == set()
+
+
+def module_definitions(path: Path) -> set[str]:
+    """Module-level functions, classes and assigned names of a module, outside dunders."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {target.id for target in targets if isinstance(target, ast.Name)}
+    return {name for name in names if not name.startswith("__")}
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Names a file reads, attributes it looks up, names it imports, and its `__all__`."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            names |= {item.value for item in ast.walk(node.value) if isinstance(item, ast.Constant)}
+    return names
+
+
+def test_every_definition_is_referenced():
+    referenced = set().union(*(referenced_names(path) for folder in ("src", "tests", "lrubench")
+                               for path in (ROOT / folder).rglob("*.py")))
+    orphans = {f"{path.stem}.{name}" for path in PACKAGE.glob("*.py")
+               for name in module_definitions(path) - referenced}
+    assert orphans == set()
