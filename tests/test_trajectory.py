@@ -286,7 +286,7 @@ class TestSector:
 class TestOracleSector:
     @pytest.mark.parametrize("length", [3, 4])
     @pytest.mark.parametrize("coding", ["ket2", "plus"])
-    @pytest.mark.parametrize("kind", ["dissipation", "random_feedback"])
+    @pytest.mark.parametrize("kind", ["dissipation", "periodic_feedback", "random_feedback"])
     def test_sector_matches_full_space(self, monkeypatch, kind, coding, length):
         # the reset on the last site acts within t_max: against rate 0 it moves
         # the series by 7e-4 to 0.08 here, far above the tolerance. One that
@@ -294,6 +294,14 @@ class TestOracleSector:
         # does not (see the next test)
         config = chain_config(kind, 2.0, 1, 2.0, 0.05, 4, NoiseModel(0.1, 0.1), seed=5,
                               coding=coding, length=length, disorder=2.0)
+        if kind == "periodic_feedback":
+            # the measurement dissipator is that of Poisson-timed measurements,
+            # so both the sector and the full space refuse periodic ones
+            for max_excitations in (lrusim.trajectory._max_excitations, full_space):
+                monkeypatch.setattr(lrusim.trajectory, "_max_excitations", max_excitations)
+                with pytest.raises(ValueError, match="periodic"):
+                    solve_master_dense(config)
+            return
         sector = solve_master_dense(config)
         monkeypatch.setattr(lrusim.trajectory, "_max_excitations", full_space)
         full = solve_master_dense(config)
@@ -398,15 +406,8 @@ class TestTemperature:
 
 
 class TestLindbladian:
-    def test_periodic_feedback_refused(self):
-        # the measurement dissipator is that of Poisson-timed measurements; at
-        # L = 2 and Gamma = 2 the periodic rate is half of it
-        config = chain_config("periodic_feedback", 2.0, 1, 0.1, 0.05, 1, NoiseModel(0.1, 0.2))
-        with pytest.raises(ValueError, match="periodic"):
-            solve_master_dense(config)
-
     @pytest.mark.parametrize("coding", ["ket2", "plus"])
-    @pytest.mark.parametrize("kind", ["dissipation", "random_feedback"])
+    @pytest.mark.parametrize("kind", ["dissipation", "periodic_feedback", "random_feedback"])
     def test_generator_matches_dense_rhs(self, monkeypatch, rng, kind, coding):
         # the right-hand side the oracle hands to solve_ivp, against one
         # written from dense operators: the enumerated Hamiltonian, the site
@@ -421,6 +422,14 @@ class TestLindbladian:
             return solve_ivp(fun, t_span, y0, **kwargs)
 
         monkeypatch.setattr(lrusim.trajectory, "solve_ivp", recording_solve_ivp)
+        if kind == "periodic_feedback":
+            # the measurement dissipator is that of Poisson-timed measurements;
+            # at L = 2 and Gamma = 2 the periodic rate is half of it, so the
+            # oracle refuses before it builds a generator
+            with pytest.raises(ValueError, match="periodic"):
+                solve_master_dense(config)
+            assert functions == []
+            return
         solve_master_dense(config)
         (rhs,) = functions
 
