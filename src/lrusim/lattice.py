@@ -18,6 +18,7 @@ they are H - (i/2) diag(d), with d from `channels.jump_table`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,8 +29,9 @@ from .units import angular_from_mhz
 
 #: Largest Fock basis, full space or sector, that FockBasis builds: 3**6,
 #: the full space of six qutrits. The engine diagonalizes one dense operator
-#: per trajectory and the oracle integrates dimension**2 density entries,
-#: both over such a basis, so this is the one size limit of the package.
+#: per disorder realization and the oracle integrates dimension**2 density
+#: entries, both over such a basis, so this is the one size limit of the
+#: package.
 MAX_DIMENSION = 729
 
 #: Levels per site: the qubit pair |0>, |1> and the leakage level |2>.
@@ -267,28 +269,42 @@ def build_site_operator(basis: FockBasis, site: int, kind: str) -> np.ndarray:
                   hermitian=kind in ("number", "leakage_number"))
 
 
+@functools.lru_cache(maxsize=4)
+def _hopping_part(basis: FockBasis, hopping: float) -> np.ndarray:
+    """J sum_l (a_l^dag a_{l+1} + h.c.) as a dense matrix over `basis`.
+
+    The part of H that no disorder realization changes, built once per
+    (basis, J) and read-only, since every caller shares it through the
+    cache; at MAX_DIMENSION one entry holds 8.5 MB. Each bond and direction
+    fills its own entries (the occupations of row and column differ by that
+    bond's step), so plain assignment places each amplitude once.
+    """
+    n = basis.occupations.astype(float)
+    matrix = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    for site in range(1, basis.length):
+        # a_l^dag a_{l+1} moves one boson from site l+1 to site l
+        src, dst = basis.transitions({site: +1, site + 1: -1})
+        matrix[dst, src] = matrix[src, dst] = hopping * np.sqrt(
+            (n[src, site - 1] + 1.0) * n[src, site])
+    matrix.flags.writeable = False
+    return matrix
+
+
 def build_bose_hubbard(real: DisorderRealization, basis: FockBasis) -> np.ndarray:
     """Chain Hamiltonian for one disorder realization, as a dense matrix over `basis`.
 
     H = sum_l [omega_l n_l - (U_l/2) n_l (n_l - 1) + J (a_l^dag a_{l+1} + h.c.)]
-    with open boundaries. H conserves the total excitation number, so it
-    closes on every excitation-number sector.
+    with open boundaries: the realization's on-site diagonal added to a
+    copy of the cached hopping part (`_hopping_part`). H conserves the total
+    excitation number, so it closes on every excitation-number sector.
     """
     spec = real.spec
     basis.check(spec)
     n = basis.occupations.astype(float)
     diagonal = np.arange(basis.dimension)
-    rows, cols = [diagonal], [diagonal]
-    values = [n @ real.omegas - 0.5 * (n * (n - 1.0)) @ real.anharmonicities]
-    for site in range(1, spec.length):
-        # a_l^dag a_{l+1} moves one boson from site l+1 to site l
-        src, dst = basis.transitions({site: +1, site + 1: -1})
-        amp = spec.hopping * np.sqrt((n[src, site - 1] + 1.0) * n[src, site])
-        rows += [dst, src]
-        cols += [src, dst]
-        values += [amp, amp]
-    return _dense(basis, np.concatenate(rows), np.concatenate(cols),
-                  np.concatenate(values).astype(complex), hermitian=True)
+    ham = _hopping_part(basis, spec.hopping).copy()
+    ham[diagonal, diagonal] += n @ real.omegas - 0.5 * (n * (n - 1.0)) @ real.anharmonicities
+    return ham
 
 
 def build_effective_propagation(spec: LatticeSpec, rate: float = 0.0) -> np.ndarray:

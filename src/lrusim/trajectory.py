@@ -4,7 +4,11 @@ Each trajectory draws its own disorder realization and thermal initial
 state, evolves under the chain Hamiltonian with the reset channel and
 background noise, and reports leakage/occupation/coherence series on a
 common observable grid. Ensembles average trajectories and attach
-standard errors.
+standard errors. Draws that cannot differ are made once per chunk: at
+W = 0 every realization is the same, so a chunk builds and diagonalizes
+one no-jump Hamiltonian, and at T = 0 every trajectory starts in the same
+state (`_ChunkEngine._build_states_and_hamiltonians`). The results are
+those of per-trajectory draws, bit for bit.
 
 The engine works in the excitation-number sector N <= N_max of the chain
 (`lattice.FockBasis`). The no-jump Hamiltonian commutes with the total
@@ -63,7 +67,6 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,9 +103,9 @@ from .observables import (
 from .propagator import eigensystem, evolve
 
 #: Per-chunk trajectory count, shrunk for large sectors so the cached
-#: eigendecompositions (three sector-dimension squares per trajectory) stay
-#: within a fixed memory budget. Chunk boundaries depend only on the
-#: configuration, never on the worker count.
+#: eigendecompositions (three sector-dimension squares per trajectory at
+#: W > 0, per chunk at W = 0) stay within a fixed memory budget. Chunk
+#: boundaries depend only on the configuration, never on the worker count.
 _CHUNK_ENTRY_BUDGET = 4_000_000
 
 
@@ -244,23 +247,36 @@ class _ChunkEngine:
     # -- setup ------------------------------------------------------------
 
     def _build_states_and_hamiltonians(self):
-        cfg, spec = self.config, self.spec
-        dim, B = self.dim, self.batch
-        hams = np.empty((B, dim, dim), dtype=complex)
-        psi = np.empty((B, dim), dtype=complex)
-        coding = cfg.coding_vector()
+        """Each row's initial state and no-jump eigensystem, built once per distinct input.
 
-        for row, idx in enumerate(self.indices):
-            real = realize_disorder(spec, _disorder_seed(cfg.master_seed, idx))
-            hams[row] = build_bose_hubbard(real, self.basis)
-            rng_th = _stream(cfg.master_seed, idx, 1)
-            psi[row] = sample_thermal_initial(real, cfg.noise, coding, rng_th, self.basis)
-
-        diagonal = np.arange(dim)
+        At W = 0 every row's realization is the first row's, bit for bit
+        (its detunings are uniform(-0.0, 0.0) = +0.0 whatever the seed), so
+        the chunk builds and diagonalizes one no-jump Hamiltonian. At T = 0
+        every idle site starts in |0> with probability one, whatever the
+        realization, so one initial state serves every row. At W > 0 each
+        row has its own realization, and at T > 0 its own thermal draw, from
+        its own streams. The eigensystem is kept as a read-only broadcast
+        over the batch, so indexing it by rows reads what per-row copies
+        would hold.
+        """
+        cfg, spec, basis = self.config, self.spec, self.basis
+        keys = self.indices[:1] if spec.disorder == 0 else self.indices
+        reals = [realize_disorder(spec, _disorder_seed(cfg.master_seed, idx)) for idx in keys]
+        hams = np.stack([build_bose_hubbard(real, basis) for real in reals])
+        diagonal = np.arange(self.dim)
         hams[:, diagonal, diagonal] -= 0.5j * self.jumps.decay
-        self.evals, self.vecs, self.vinv = eigensystem(hams, hermitian=not self.has_jumps)
-        self.psi = psi
-        self.t_cur = np.zeros(B)
+        self.evals, self.vecs, self.vinv = (
+            np.broadcast_to(part, (self.batch, *part.shape[1:]))
+            for part in eigensystem(hams, hermitian=not self.has_jumps))
+
+        coding = cfg.coding_vector()
+        starts = self.indices[:1] if cfg.noise.temperature == 0 else self.indices
+        # `reals` holds one realization for every row, or one per row
+        psi = [sample_thermal_initial(reals[row % len(reals)], cfg.noise, coding,
+                                      _stream(cfg.master_seed, idx, 1), basis)
+               for row, idx in enumerate(starts)]
+        self.psi = np.array(np.broadcast_to(psi, (self.batch, self.dim)))
+        self.t_cur = np.zeros(self.batch)
 
     def _init_channel_schedule(self):
         cfg = self.config
@@ -525,6 +541,9 @@ def run_ensemble(config: SimulationConfig, n_threads: int = 1) -> EnsembleObserv
         return _ChunkEngine(config, indices, basis).run()
 
     if n_threads > 1 and len(chunks) > 1:
+        # imported here: concurrent.futures loads logging, queue and traceback
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             results = list(pool.map(work, chunks))
     else:

@@ -1,5 +1,5 @@
-"""`import lrusim` and the engine load no scipy submodule; each scipy user
-imports its own on first use.
+"""`import lrusim` and the engine load no scipy submodule, nor
+concurrent.futures; each scipy user imports its own on first use.
 
 Each check runs in a fresh interpreter, because the test process has
 imported scipy long before (test_analytics imports scipy.optimize itself),
@@ -35,7 +35,9 @@ run_ensemble(SimulationConfig(
     t_max=1.0, dt=0.1, n_trajectories=4,
     noise=NoiseModel(0.01, 0.01),
 ))
-loaded = {"scipy.integrate", "scipy.sparse", "scipy.optimize"} & set(sys.modules)
+# nor concurrent.futures, which only a threaded run_ensemble imports
+loaded = {"scipy.integrate", "scipy.sparse", "scipy.optimize",
+          "concurrent.futures"} & set(sys.modules)
 assert not loaded, sorted(loaded)
 """)
 

@@ -12,6 +12,7 @@ from lrusim.lattice import (
     FockBasis,
     LatticeSpec,
     _dense,
+    _hopping_part,
     build_bose_hubbard,
     build_effective_propagation,
     build_site_operator,
@@ -208,6 +209,28 @@ class TestBoseHubbard:
             evals = np.linalg.eigvalsh(ham)
             evals_oracle = np.linalg.eigvalsh(oracle)
             assert np.max(np.abs(evals - evals_oracle)) < 1e-10
+
+    def test_hopping_part_is_cached_per_hopping(self):
+        # one basis and two J, the first again last: a cache keyed on the
+        # basis alone would return the first J's hopping for the second
+        basis = FockBasis(3)
+        for hopping in (0.8, 1.3, 0.8):
+            spec = LatticeSpec(3, 9.0, 4.0, hopping, 3.0)
+            real = realize_disorder(spec, 1)
+            ham = build_bose_hubbard(real, basis)
+            oracle = dense_bose_hubbard_oracle(real.omegas, real.anharmonicities, hopping)
+            assert np.max(np.abs(ham - oracle)) < 1e-12, hopping
+        # the cached part is shared, the built Hamiltonian is the caller's own
+        with pytest.raises(ValueError, match="read-only"):
+            _hopping_part(basis, 0.8)[0, 1] = 1.0
+        ham[0, 1] = 1.0
+        assert np.max(np.abs(build_bose_hubbard(real, basis) - oracle)) < 1e-12
+
+    def test_single_site_has_no_hopping(self):
+        # L = 1 has no bond: H is the on-site spectrum omega n - (U/2) n (n - 1)
+        spec = LatticeSpec(1, 2.0, 1.0, 0.5)
+        ham = build_bose_hubbard(realize_disorder(spec, 0), FockBasis(1))
+        assert np.array_equal(ham, np.diag([0.0, 2.0, 3.0]))
 
     def test_hermitian_flag_checked(self):
         spec = fig1_spec()

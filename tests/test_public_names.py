@@ -72,8 +72,9 @@ def test_ensemble_looks_up_eig_when_called(monkeypatch):
         t_max=1.0, dt=0.1, n_trajectories=4,
     )
     lrusim.run_ensemble(config)
-    # one batched call per chunk, in the N <= 2 sector of ket2 (6 of 9 states)
-    assert shapes == [(4, 6, 6)]
+    # one call per chunk, in the N <= 2 sector of ket2 (6 of 9 states); at
+    # W = 0 the chunk's trajectories share one no-jump Hamiltonian
+    assert shapes == [(1, 6, 6)]
 
 
 def test_oracle_looks_up_solve_ivp_when_called(monkeypatch):

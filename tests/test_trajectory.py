@@ -123,31 +123,59 @@ class TestOracleAgreement:
             assert max_z(ens, oracle, name) < Z_BOUND, name
 
 
-def short_config(kind, coding):
+def short_config(kind, coding, **changes):
     # more trajectories than one chunk holds at L = 3, so run_ensemble
     # splits them and two threads really run chunks side by side
     n = _chunk_size(27) + 20
-    return chain_config(kind, 2.0, n, 2.0, 0.05, 2, NoiseModel(0.05, 0.05), seed=11,
-                        coding=coding)
+    config = chain_config(kind, 2.0, n, 2.0, 0.05, 2, NoiseModel(0.05, 0.05), seed=11,
+                          coding=coding)
+    return replace(config, **changes)
+
+
+#: Chains whose rows do not share their set-up: at W = 4 each row has its
+#: own realization, and at T > 0 its own thermal draw. The hot chain keeps
+#: J = 1 and U = 10 but lifts omega to 30, so its level energies increase
+#: (lab frame), at a temperature where k T is about hbar omega: each idle
+#: site starts excited with probability 0.43. The phases omega t stay small
+#: enough that a single trajectory and its chunk agree to round-off.
+DISORDERED = short_config("random_feedback", "plus", lattice=LatticeSpec(3, 0.0, 10.0, 1.0, 4.0))
+HOT = short_config("random_feedback", "plus", lattice=LatticeSpec(3, 30.0, 10.0, 1.0),
+                   noise=NoiseModel(0.05, 0.05, 3e-4))
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("kind, coding", [
-        ("periodic_feedback", "ket2"),
-        ("random_feedback", "plus"),
+    @pytest.mark.parametrize("config", [
+        pytest.param(short_config("periodic_feedback", "ket2"), id="periodic_feedback-ket2"),
+        pytest.param(short_config("random_feedback", "plus"), id="random_feedback-plus"),
+        pytest.param(DISORDERED, id="random_feedback-plus-W4"),
+        pytest.param(HOT, id="random_feedback-plus-hot"),
     ])
-    def test_thread_count_does_not_change_result(self, kind, coding):
-        config = short_config(kind, coding)
+    def test_thread_count_does_not_change_result(self, config):
         assert config.n_trajectories > _chunk_size(lrusim.trajectory._sector(config).dimension)
         one = run_ensemble(config, n_threads=1)
         two = run_ensemble(config, n_threads=2)
         for name, value in vars(one).items():
             assert np.array_equal(value, getattr(two, name)), name
 
-    def test_single_trajectories_average_to_ensemble(self):
-        # random feedback from the plus state also jumps and dephases
-        config = short_config("random_feedback", "plus")
+    # random feedback from the plus state also jumps and dephases
+    @pytest.mark.parametrize("config", [
+        pytest.param(short_config("random_feedback", "plus"), id="W0"),
+        pytest.param(DISORDERED, id="W4"),
+        pytest.param(HOT, id="hot"),
+    ])
+    def test_single_trajectories_average_to_ensemble(self, monkeypatch, config):
+        starts = []
+        sample_thermal_initial = lrusim.trajectory.sample_thermal_initial
+
+        def recording_sample_thermal_initial(*args):
+            starts.append(sample_thermal_initial(*args))
+            return starts[-1]
+
+        monkeypatch.setattr(lrusim.trajectory, "sample_thermal_initial",
+                            recording_sample_thermal_initial)
         ens = run_ensemble(config)
+        # at T > 0 the rows must start apart, or the case pins no per-row draw
+        assert len({state.tobytes() for state in starts}) > 1 or config.noise.temperature == 0
         n = config.n_trajectories
         singles = [run_trajectory(config, i) for i in range(n)]
         stacks = {name: np.array([getattr(s, name) for s in singles]) for name in
@@ -169,6 +197,47 @@ class TestDeterminism:
         assert len(errors) == 5
         for name, value in errors.items():
             assert np.all(np.isfinite(value)) and not np.any(value), name
+
+
+def record_calls(monkeypatch, module, name, log):
+    """Swap `module.name` for a wrapper that appends its first argument's shape to `log`."""
+    original = getattr(module, name)
+
+    def recording(first, *args):
+        log.append(np.shape(first))
+        return original(first, *args)
+
+    monkeypatch.setattr(module, name, recording)
+
+
+class TestSharedSetUp:
+    """A chunk builds and diagonalizes each distinct Hamiltonian, and draws
+    each distinct initial state, once: per chunk at W = 0 and at T = 0, per
+    row where the rows differ."""
+
+    @pytest.mark.parametrize("disorder, frequency, temperature", [
+        pytest.param(0.0, 0.0, 0.0, id="W0"),
+        pytest.param(4.0, 0.0, 0.0, id="W4"),
+        pytest.param(0.0, 30.0, 3e-4, id="hot"),
+    ])
+    def test_one_set_up_per_distinct_input(self, monkeypatch, disorder, frequency, temperature):
+        eigs, builds, starts = [], [], []
+        record_calls(monkeypatch, np.linalg, "eig", eigs)
+        record_calls(monkeypatch, lrusim.trajectory, "build_bose_hubbard", builds)
+        record_calls(monkeypatch, lrusim.trajectory, "sample_thermal_initial", starts)
+        # two chunks, of 256 and 44 trajectories
+        config = SimulationConfig(
+            lattice=LatticeSpec(2, frequency, 10.0, 1.0, disorder),
+            channel=ResetChannel("dissipation", 0.5), t_max=1.0, dt=0.1, n_trajectories=300,
+            noise=NoiseModel(0.01, 0.01, temperature),
+        )
+        run_ensemble(config)
+        chunks = [256, 44]
+        dim = lrusim.trajectory._sector(config).dimension
+        hamiltonians = chunks if disorder else [1, 1]
+        assert eigs == [(count, dim, dim) for count in hamiltonians]
+        assert len(builds) == sum(hamiltonians)
+        assert len(starts) == (sum(chunks) if temperature else len(chunks))
 
 
 BLOCK_CONFIGS = {
@@ -266,7 +335,8 @@ class TestSector:
         config = chain_config("dissipation", 2.0, 32, 2.0, 0.1, 2, NoiseModel(0.01, 0.01),
                               length=12)
         ens = run_ensemble(config)
-        assert shapes == [(32, 91, 91)]
+        # W = 0: the 32 trajectories share one no-jump Hamiltonian
+        assert shapes == [(1, 91, 91)]
         eps = 1e-12
         for name, top in (("leakage_total", 1.0), ("leakage_site1", 1.0),
                           ("occupation_site1", 2.0), ("coherence_envelope_site1", 1.0)):
