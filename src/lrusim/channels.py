@@ -76,24 +76,28 @@ class NoiseModel:
             raise ValueError("noise rates and temperature must be non-negative and finite")
 
 
-def next_measurement(channel: ResetChannel | None, rng,
-                     after: float | None = None) -> float:
-    """Time of the feedback measurement that follows the one at `after`.
+def next_measurement(channel: ResetChannel | None, draw,
+                     after: float | np.ndarray | None = None) -> float | np.ndarray:
+    """Times of the feedback measurements that follow those at `after`.
 
-    With `after` None this is the first measurement. Periodic: the first
-    time is uniform on [0, 1/rate), because the leakage creation time is
-    unknown, and each next one comes 1/rate later. Random: the times of a
-    Poisson process of the given rate, the process the measurement
-    dissipator of the master equation models; each gap is exponential,
-    -log(1 - u)/rate for one uniform u.
-    A channel that does not measure (None, dissipation, or rate 0) gives inf.
+    `draw()` returns uniforms on [0, 1), and the times have its shape:
+    `rng.random` of one Generator gives one time, the engine's per-row
+    buffers one time per row, with `after` holding each row's last one.
+    With `after` None these are the first measurements. Periodic: the first
+    time is uniform on [0, 1/rate), period * u, because the leakage creation
+    time is unknown, and each next one comes 1/rate later without a draw.
+    Random: the times of a Poisson process of the given rate, the process
+    the measurement dissipator of the master equation models; each gap is
+    exponential, -log(1 - u)/rate for one uniform u.
+    A channel that does not measure (None, dissipation, or rate 0) gives inf
+    and draws nothing.
     """
     if channel is None or not channel.is_feedback or channel.rate == 0:
         return math.inf
     if channel.kind == "periodic_feedback":
         period = 1.0 / channel.rate
-        return rng.uniform(0.0, period) if after is None else after + period
-    gap = -math.log1p(-rng.random()) / channel.rate
+        return period * draw() if after is None else after + period
+    gap = -np.log1p(-draw()) / channel.rate
     return gap if after is None else after + gap
 
 
@@ -235,14 +239,17 @@ def local_thermal_weights(omega: float, anharmonicity: float,
 
 def sample_thermal_initial(real: DisorderRealization, model: NoiseModel,
                            coding_state, rng: np.random.Generator,
-                           basis: FockBasis) -> np.ndarray:
+                           basis: FockBasis, size: int | None = None) -> np.ndarray:
     """Initial chain amplitudes: coding state on site 1, Gibbs-sampled idle sites.
 
     Sites 2..L are drawn independently from the J = 0 Boltzmann weights of
-    their local levels (truncated at n = 2 and renormalized); each call
-    returns one sampled product eigenstate, not the averaged Gibbs state,
-    with amplitudes over `basis`. Raises ValueError if the coding state is
-    zero or the state has weight outside the basis.
+    their local levels (truncated at n = 2 and renormalized), one uniform
+    per site in site order; each sample is one product eigenstate, not the
+    averaged Gibbs state, with amplitudes over `basis`. With `size` None
+    this is one state (D,); with `size` n it is n states (n, D), bit for bit
+    those of n successive calls on the same rng, which it advances as far.
+    Raises ValueError if the coding state is zero or a state has weight
+    outside the basis.
     """
     spec = real.spec
     coding = np.asarray(coding_state, dtype=complex).ravel()
@@ -251,19 +258,23 @@ def sample_thermal_initial(real: DisorderRealization, model: NoiseModel,
     norm = np.linalg.norm(coding)
     if norm == 0:
         raise ValueError("coding state must be non-zero")
-    occupations = np.zeros((LEVELS, spec.length), dtype=np.int64)
-    occupations[:, 0] = np.arange(LEVELS)
+    shape = () if size is None else (size,)
+    # Generator.random(n) returns the doubles of n calls of random()
+    draws = rng.random((*shape, spec.length - 1))
+    occupations = np.zeros((*shape, LEVELS, spec.length), dtype=np.int64)
+    occupations[..., 0] = np.arange(LEVELS)
     for site in range(2, spec.length + 1):
         weights = local_thermal_weights(
             real.omegas[site - 1], real.anharmonicities[site - 1], model.temperature,
         )
-        level = int(np.searchsorted(np.cumsum(weights), rng.random(), side="right"))
-        occupations[:, site - 1] = min(level, LEVELS - 1)
+        level = np.searchsorted(np.cumsum(weights), draws[..., site - 2], side="right")
+        occupations[..., site - 1] = np.minimum(level, LEVELS - 1)[..., None]
     basis.check(spec)
     rows = basis.index(occupations)
     inside = rows >= 0
-    if np.any(coding[~inside] != 0):
+    if np.any(~inside & (coding != 0)):
         raise ValueError("initial state has weight outside the basis")
-    amplitudes = np.zeros(basis.dimension, dtype=complex)
-    amplitudes[rows[inside]] = (coding / norm)[inside]
+    amplitudes = np.zeros((*shape, basis.dimension), dtype=complex)
+    *samples, levels = np.nonzero(inside)
+    amplitudes[(*samples, rows[inside])] = (coding / norm)[levels]
     return amplitudes

@@ -41,10 +41,23 @@ state advances to the grid point, resolving jumps on the way, and only
 then is it recorded.
 Quantum jumps follow the waiting-time rule (Dalibard, Castin and Molmer,
 PRL 68, 580 (1992)): a trajectory jumps when its no-jump norm falls to a
-uniform threshold. The crossing time is solved by a bracketed Newton
-iteration on the log of the norm, whose derivative -<psi|diag(d)|psi> is
-exact (`_jump_time`); the jump is then drawn and applied by
-`channels.sample_jump`, the draw of the feedback measurement too.
+uniform threshold. Every row whose norm falls below its threshold on the
+way to the same step is resolved in one batched pass per jump generation
+(`_ChunkEngine._resolve_jumps`): the crossing times of all of them are
+solved together by a bracketed Newton iteration on the log of the norm,
+whose derivative -<psi|diag(d)|psi> is exact (`_jump_time`), and all their
+jumps are drawn and applied by one `channels.sample_jump` call, the draw
+of feedback measurements too. Passes repeat while a row falls below its
+next threshold before the end of its step.
+
+Each trajectory draws from its own streams, keyed by (master_seed, index,
+purpose): 0 its disorder, 1 its thermal initial state, 2 its measurement
+times and measurement outcomes, 3 its jump thresholds and jump outcomes.
+Streams 2 and 3 are drawn in bulk into per-row buffers read through
+cursors (`_Draws`), and `channels.next_measurement` gives the measurement
+times of many rows at once. A row reads its streams' numbers in the order
+one draw at a time would: the buffer length changes no result, and a
+row's draws do not depend on its chunk.
 
 The master-equation oracle integrates its density matrix in the same
 sector, with the engine's Hamiltonian, jump operators, reset Kraus
@@ -120,6 +133,10 @@ CODING_STATES = {
 #: points x sector dimension). The block length follows from this and the
 #: chunk's shape only, never from the worker count.
 _BLOCK_ENTRIES = 2**15
+
+#: Uniforms each row draws from one of its streams per refill of its buffer
+#: (`_Draws`). Any length gives the same numbers in the same order.
+_DRAW_BUFFER = 64
 
 #: The jump-time solve stops once |log(||psi||^2 / threshold)| is this small,
 #: or when its bracket is down to adjacent floats, or after this many norm
@@ -221,6 +238,32 @@ def _stream(master_seed: int, index: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, index, purpose]))
 
 
+class _Draws:
+    """Uniforms on [0, 1) from one stream per row, drawn in bulk.
+
+    Row r reads the stream (master_seed, indices[r], purpose) through a
+    buffer of `_DRAW_BUFFER` doubles and a cursor to the next unread one,
+    and refills the buffer when it is used up. `Generator.random(n)` returns
+    the doubles of n calls of `random()`, so each row reads its stream's
+    numbers in order, whatever the buffer length.
+    """
+
+    def __init__(self, master_seed: int, indices, purpose: int):
+        self.rngs = [_stream(master_seed, idx, purpose) for idx in indices]
+        self.buffer = np.empty((len(self.rngs), _DRAW_BUFFER))
+        self.cursor = np.full(len(self.rngs), _DRAW_BUFFER)  # empty until first read
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The next uniform of each of the distinct `rows`."""
+        length = self.buffer.shape[1]
+        for row in rows[self.cursor[rows] == length].tolist():
+            self.buffer[row] = self.rngs[row].random(length)
+            self.cursor[row] = 0
+        draws = self.buffer[rows, self.cursor[rows]]
+        self.cursor[rows] += 1
+        return draws
+
+
 # ---------------------------------------------------------------------------
 # the batched event-driven engine
 
@@ -265,9 +308,11 @@ class _ChunkEngine:
         hams = np.stack([build_bose_hubbard(real, basis) for real in reals])
         diagonal = np.arange(self.dim)
         hams[:, diagonal, diagonal] -= 0.5j * self.jumps.decay
+        parts = eigensystem(hams, hermitian=not self.has_jumps)
+        # the chunk's one eigensystem, which `_resolve_jumps` reads unindexed
+        self.shared = tuple(part[0] for part in parts) if len(keys) == 1 else None
         self.evals, self.vecs, self.vinv = (
-            np.broadcast_to(part, (self.batch, *part.shape[1:]))
-            for part in eigensystem(hams, hermitian=not self.has_jumps))
+            np.broadcast_to(part, (self.batch, *part.shape[1:])) for part in parts)
 
         coding = cfg.coding_vector()
         starts = self.indices[:1] if cfg.noise.temperature == 0 else self.indices
@@ -279,23 +324,17 @@ class _ChunkEngine:
         self.t_cur = np.zeros(self.batch)
 
     def _init_channel_schedule(self):
-        cfg = self.config
+        cfg, rows = self.config, np.arange(self.batch)
         measuring = self.channel is not None and self.channel.is_feedback
-        self.meas_rngs = [_stream(cfg.master_seed, idx, 2) if measuring else None
-                          for idx in self.indices]
-        self.next_meas = np.array([next_measurement(self.channel, rng)
-                                   for rng in self.meas_rngs])
+        self.meas_draws = _Draws(cfg.master_seed, self.indices, 2) if measuring else None
+        self.next_meas = np.full(self.batch, next_measurement(
+            self.channel, lambda: self.meas_draws.take(rows)))
 
     def _init_thresholds(self):
-        cfg = self.config
-        self.jump_rngs = [
-            _stream(cfg.master_seed, idx, 3) if self.has_jumps else None
-            for idx in self.indices
-        ]
+        self.jump_draws, self.thresholds = None, np.zeros(self.batch)
         if self.has_jumps:
-            self.thresholds = np.array([rng.random() for rng in self.jump_rngs])
-        else:
-            self.thresholds = np.zeros(self.batch)
+            self.jump_draws = _Draws(self.config.master_seed, self.indices, 3)
+            self.thresholds = self.jump_draws.take(np.arange(self.batch))
 
     # -- evolution primitives ---------------------------------------------
 
@@ -315,47 +354,61 @@ class _ChunkEngine:
         self.t_cur[rows] = targets
         norms = np.einsum("bi,bi->b", self.psi[rows], self.psi[rows].conj()).real
         crossed = norms < self.thresholds[rows]
-        for local in np.nonzero(crossed)[0]:
-            row = int(rows[local])
-            self._resolve_jumps(row, anchors[local], float(t_from[local]), float(targets[local]))
+        if crossed.any():
+            self._resolve_jumps(rows[crossed], anchors[crossed], t_from[crossed],
+                                targets[crossed])
 
-    def _resolve_jumps(self, row: int, anchor: np.ndarray, t_from: float, t_to: float):
-        """Waiting-time jump resolution for one trajectory on [t_from, t_to]."""
-        rng = self.jump_rngs[row]
-        vecs, vinv, evals = self.vecs[row], self.vinv[row], self.evals[row]
-        decay = self.jumps.decay
-        psi0 = anchor
+    def _resolve_jumps(self, rows: np.ndarray, anchors: np.ndarray, t_from: np.ndarray,
+                       t_to: np.ndarray):
+        """Waiting-time jump resolution of `rows`, each from `anchors` at t_from to t_to.
+
+        Each pass evolves every row still to be resolved to t_to, sets the
+        state of those whose norm stays at or above their threshold, and for
+        the rest solves every crossing time at once (`_jump_time`), draws
+        every jump with one `sample_jump` call and a new threshold per row,
+        and starts the next pass from the jumped states. The rows' t_cur is
+        already t_to. The eigensystem is gathered once per call, and not at
+        all when the chunk shares one.
+        """
+        if self.shared is not None:
+            evals, vecs, vinv = self.shared
+        else:
+            evals, vecs, vinv = self.evals[rows], self.vecs[rows], self.vinv[rows]
         while True:
-            coeffs = vinv @ psi0
-            span = t_to - t_from
-            amp_end = evolve(vecs, evals, coeffs, span)
-            n_end = float(np.vdot(amp_end, amp_end).real)
-            if n_end >= self.thresholds[row]:
-                self.psi[row] = amp_end
-                self.t_cur[row] = t_to
-                return
-            t_star, amp_star = _jump_time(vecs, evals, coeffs, decay, self.thresholds[row],
-                                          span, float(np.vdot(psi0, psi0).real), n_end)
-            jumped, _ = sample_jump(self.jumps, amp_star, rng.random())
-            psi0 = jumped / np.linalg.norm(jumped)
-            self.thresholds[row] = rng.random()
-            t_from = t_from + t_star
+            coeffs = np.matmul(vinv, anchors[:, :, None])[:, :, 0]
+            spans = t_to - t_from
+            ends = evolve(vecs, evals, coeffs, spans)
+            n_end = (ends.real**2 + ends.imag**2).sum(axis=1)
+            crossing = n_end < self.thresholds[rows]
+            if not crossing.all():
+                self.psi[rows[~crossing]] = ends[~crossing]
+                if not crossing.any():
+                    return
+                if vecs.ndim > 2:
+                    evals, vecs, vinv = evals[crossing], vecs[crossing], vinv[crossing]
+                rows, anchors, coeffs, t_from, t_to, spans, n_end = (
+                    part[crossing] for part in (rows, anchors, coeffs, t_from, t_to, spans, n_end))
+            n_start = (anchors.real**2 + anchors.imag**2).sum(axis=1)
+            taus, amps = _jump_time(vecs, evals, coeffs, self.jumps.decay,
+                                    self.thresholds[rows], spans, n_start, n_end)
+            jumped, _ = sample_jump(self.jumps, amps, self.jump_draws.take(rows))
+            anchors = jumped / np.linalg.norm(jumped, axis=1)[:, None]
+            self.thresholds[rows] = self.jump_draws.take(rows)
+            t_from = t_from + taus
 
     # -- feedback measurements ---------------------------------------------
 
     def _measure_rows(self, rows: np.ndarray):
         psi = self.psi[rows]
-        draws = np.array([self.meas_rngs[int(r)].random() for r in rows])
-        reset, _ = sample_jump(self.resets, psi, draws)
+        reset, _ = sample_jump(self.resets, psi, self.meas_draws.take(rows))
         # preserve the pre-measurement norm so waiting-time bookkeeping
         # keeps tracking only the non-Hermitian (dissipative) norm loss
         scale = np.linalg.norm(psi, axis=1) / np.linalg.norm(reset, axis=1)
         self.psi[rows] = reset * scale[:, None]
 
     def _schedule_next_measurement(self, rows: np.ndarray):
-        for r in rows.tolist():
-            self.next_meas[r] = next_measurement(self.channel, self.meas_rngs[r],
-                                                 self.next_meas[r])
+        self.next_meas[rows] = next_measurement(
+            self.channel, lambda: self.meas_draws.take(rows), self.next_meas[rows])
 
     # -- main loop -----------------------------------------------------------
 
@@ -445,39 +498,53 @@ class _ChunkEngine:
         return series
 
 
-def _jump_time(vecs, evals, coeffs, decay, threshold: float, span: float,
-               n_start: float, n_end: float) -> tuple[float, np.ndarray]:
-    """When the no-jump norm falls to `threshold` within [0, span], and the state then.
+def _jump_time(vecs, evals, coeffs, decay, thresholds, spans, n_start,
+               n_end) -> tuple[np.ndarray, np.ndarray]:
+    """When each row's no-jump norm falls to its threshold within [0, span], and its state then.
 
-    The state is V exp(-i lambda tau) coeffs (see `propagator.evolve`), under
-    H_eff = H - (i/2) diag(decay); its squared norm falls from n_start >=
-    threshold at tau = 0 to n_end < threshold at tau = span, with the exact
-    derivative d||psi||^2/dtau = -<psi|diag(decay)|psi>. Newton's method on
-    g(tau) = log(||psi||^2 / threshold) starts from the log-linear
-    interpolation of the two ends, keeps a bracket of the root, and bisects
-    it whenever a step would leave it.
+    Row r's state is V exp(-i lambda tau) coeffs[r] (see `propagator.evolve`)
+    under H_eff = H - (i/2) diag(decay); `vecs` (d, d) and `evals` (d,) are
+    one eigensystem for every row, or (R, d, d) and (R, d) one per row. Its
+    squared norm falls from n_start[r] >= thresholds[r] at tau = 0 to n_end[r]
+    < thresholds[r] at tau = spans[r], with the exact derivative
+    d||psi||^2/dtau = -<psi|diag(decay)|psi>. Newton's method on g(tau) =
+    log(||psi||^2 / threshold) starts from the log-linear interpolation of
+    the two ends, keeps a bracket of the root, and bisects it whenever a
+    step would leave it. All rows step together, one norm evaluation per
+    step, and each row drops out at the step that meets its stop rule.
+    Returns the crossing times (R,) and the states there (R, d).
     """
     tiny = np.finfo(float).tiny
-    g_lo = max(math.log(n_start / threshold), 0.0)
-    g_hi = math.log(max(n_end, tiny) / threshold)
-    lo, hi = 0.0, span
-    guess = span * g_lo / (g_lo - g_hi)
+    g_lo = np.maximum(np.log(n_start / thresholds), 0.0)
+    g_hi = np.log(np.maximum(n_end, tiny) / thresholds)
+    lo, hi = np.zeros_like(spans), spans
+    guess = spans * g_lo / (g_lo - g_hi)
+    taus = np.empty_like(spans)
+    amps = np.empty_like(coeffs)
+    active = np.arange(spans.size)  # the rows not yet solved
     for _ in range(_JUMP_TIME_EVALUATIONS):
-        tau = guess if lo < guess < hi else 0.5 * (lo + hi)
+        tau = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
         amp = evolve(vecs, evals, coeffs, tau)
         pops = amp.real**2 + amp.imag**2
-        norm = max(float(pops.sum()), tiny)
-        g = math.log(norm / threshold)
-        if abs(g) <= _LOG_NORM_TOL or tau in (lo, hi):
+        norm = np.maximum(pops.sum(axis=-1), tiny)
+        g = np.log(norm / thresholds)
+        done = (np.abs(g) <= _LOG_NORM_TOL) | (tau == lo) | (tau == hi)
+        taus[active] = tau
+        amps[active] = amp
+        if done.all():
             break
-        if g > 0:
-            lo = tau
-        else:
-            hi = tau
+        if done.any():
+            going = ~done
+            if vecs.ndim > 2:
+                vecs, evals = vecs[going], evals[going]
+            active, coeffs, thresholds, tau, g, pops, norm, lo, hi = (
+                part[going] for part in (active, coeffs, thresholds, tau, g, pops, norm, lo, hi))
+        lo = np.where(g > 0, tau, lo)
+        hi = np.where(g > 0, hi, tau)
         # g'(tau) = -rate, so the Newton step is g / rate
-        rate = float(pops @ decay) / norm
-        guess = tau + g / rate if rate > 0 else math.nan
-    return tau, amp
+        rate = pops @ decay / norm
+        guess = np.where(rate > 0, tau + g / np.where(rate > 0, rate, 1.0), np.nan)
+    return taus, amps
 
 
 # ---------------------------------------------------------------------------

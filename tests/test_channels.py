@@ -30,26 +30,13 @@ from conftest import basis_state, born_oracle, densify, reset_kraus_oracle
 from test_trajectory import Z_BOUND, max_z
 
 
-class _FixedUniform:
-    """Minimal rng stub with a predetermined uniform draw."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def uniform(self, lo, hi):
-        return lo + self.value * (hi - lo)
-
-    def random(self):
-        return self.value
-
-
-def measurement_schedule(channel, t_max, rng):
+def measurement_schedule(channel, t_max, draw):
     """Every time next_measurement gives in [0, t_max], as the engine walks it."""
     times = []
-    t = next_measurement(channel, rng)
+    t = next_measurement(channel, draw)
     while t <= t_max:
         times.append(t)
-        t = next_measurement(channel, rng, t)
+        t = next_measurement(channel, draw, t)
     return np.array(times)
 
 
@@ -72,14 +59,15 @@ class TestResetChannel:
 class TestMeasurementTimes:
     def test_periodic_progression(self):
         chan = ResetChannel("periodic_feedback", rate=1.0)
-        times = measurement_schedule(chan, t_max=3.5, rng=_FixedUniform(0.2))
+        # one uniform, for the first time only: a second draw would raise StopIteration
+        times = measurement_schedule(chan, t_max=3.5, draw=iter([0.2]).__next__)
         assert np.allclose(times, [0.2, 1.2, 2.2, 3.2])
 
     def test_zero_rate_empty(self, rng):
         for kind in ("periodic_feedback", "random_feedback"):
             chan = ResetChannel(kind, rate=0.0)
-            assert next_measurement(chan, rng) == math.inf
-            assert measurement_schedule(chan, 10.0, rng).size == 0
+            assert next_measurement(chan, rng.random) == math.inf
+            assert measurement_schedule(chan, 10.0, rng.random).size == 0
 
     def test_random_event_count_statistics(self, rng):
         # rate * t_max = 10: the mean count over many draws is 10 +- 0.3
@@ -87,7 +75,7 @@ class TestMeasurementTimes:
         n_draws = 10_000
         counts = np.empty(n_draws)
         for k in range(n_draws):
-            counts[k] = measurement_schedule(chan, 10.0, rng).size
+            counts[k] = measurement_schedule(chan, 10.0, rng.random).size
         assert abs(counts.mean() - 10.0) < 0.3
 
     def test_random_gaps_are_exponential(self, rng):
@@ -95,8 +83,9 @@ class TestMeasurementTimes:
         # first gap and for one after a measurement
         rate, n_draws = 2.0, 20_000
         chan = ResetChannel("random_feedback", rate=rate)
-        firsts = np.array([next_measurement(chan, rng) for _ in range(n_draws)])
-        laters = np.array([next_measurement(chan, rng, 5.0) - 5.0 for _ in range(n_draws)])
+        # one time per uniform of an array draw, as the engine draws them per row
+        firsts = next_measurement(chan, lambda: rng.random(n_draws))
+        laters = next_measurement(chan, lambda: rng.random(n_draws), np.full(n_draws, 5.0)) - 5.0
         for gaps in (firsts, laters):
             assert np.all(gaps >= 0)
             for t in (0.05, 0.2, 0.5, 1.0, 2.0):
@@ -105,8 +94,8 @@ class TestMeasurementTimes:
                 assert abs(np.mean(gaps > t) - expected) < 4 * sigma, t
 
     def test_dissipation_has_no_times(self, rng):
-        assert next_measurement(ResetChannel("dissipation", rate=1.0), rng) == math.inf
-        assert next_measurement(None, rng) == math.inf
+        assert next_measurement(ResetChannel("dissipation", rate=1.0), rng.random) == math.inf
+        assert next_measurement(None, rng.random) == math.inf
 
 
 def measure(amplitudes, basis, draws):
@@ -452,14 +441,25 @@ class TestThermalSampling:
         coding = np.array([1.0, 0, 0])
         basis = FockBasis(2)
         n_samples = 100_000
-        counts = np.zeros(3)
-        for _ in range(n_samples):
-            psi = sample_thermal_initial(real, model, coding, rng, basis)
-            idx = int(np.argmax(np.abs(psi)))
-            counts[idx % 3] += 1
-        freq = counts / n_samples
+        psi = sample_thermal_initial(real, model, coding, rng, basis, size=n_samples)
+        freq = np.bincount(np.argmax(np.abs(psi), axis=1) % 3, minlength=3) / n_samples
         sigma = np.sqrt(weights * (1 - weights) / n_samples)
         assert np.all(np.abs(freq - weights) < 3.5 * sigma + 1e-12)
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_batch_equals_successive_calls(self, length):
+        real = realize_disorder(LatticeSpec.from_mhz(length, 7500, 250, 5, 100), 3)
+        model = NoiseModel(temperature=0.35)
+        coding = np.array([1.0, 1.0j, 0.0])
+        basis = FockBasis(length)
+        one, batch = np.random.default_rng(5), np.random.default_rng(5)
+        singles = np.array([sample_thermal_initial(real, model, coding, one, basis)
+                            for _ in range(200)])
+        together = sample_thermal_initial(real, model, coding, batch, basis, size=200)
+        assert np.array_equal(singles, together)
+        # both drew the same numbers, and with idle sites not all the same state
+        assert one.random() == batch.random()
+        assert (len(np.unique(singles, axis=0)) > 1) == (length > 1)
 
     def test_weights_normalized_after_truncation(self):
         weights = local_thermal_weights(47000.0, 1570.0, 0.25)
@@ -473,14 +473,9 @@ class TestThermalSampling:
         coding = np.array([1.0, 0, 0])
         basis = FockBasis(3)
         n_samples = 20_000
-        n2 = np.empty(n_samples)
-        n3 = np.empty(n_samples)
-        for k in range(n_samples):
-            psi = sample_thermal_initial(real, model, coding, rng, basis)
-            idx = int(np.argmax(np.abs(psi)))
-            n3[k] = idx % 3
-            n2[k] = (idx // 3) % 3
-        corr = np.corrcoef(n2, n3)[0, 1]
+        psi = sample_thermal_initial(real, model, coding, rng, basis, size=n_samples)
+        idx = np.argmax(np.abs(psi), axis=1)
+        corr = np.corrcoef((idx // 3) % 3, idx % 3)[0, 1]
         assert abs(corr) < 4.0 / math.sqrt(n_samples)
 
     def test_negative_temperature_rejected(self):

@@ -18,7 +18,9 @@ imports allowed to go unused are `__future__` features, the names
 `lrusim.__init__` re-exports in `__all__`, and the names the tracer swaps
 on `lrusim.trajectory`. Likewise `test_every_definition_is_referenced`: a
 module-level function, class or constant of the package that no code of
-the package, its tests or the benchmark names is an orphan.
+the package, its tests or the benchmark names is an orphan. And
+`test_no_numpy2_only_function`: pyproject.toml accepts numpy 1.24, so the
+package may call no function that numpy 2.0 added.
 """
 
 import ast
@@ -173,3 +175,52 @@ def test_every_definition_is_referenced():
     orphans = {f"{path.stem}.{name}" for path in PACKAGE.glob("*.py")
                for name in module_definitions(path) - referenced}
     assert orphans == set()
+
+
+#: Functions that numpy 2.0 added, by full name; `numpy.astype` is the
+#: function, not the ndarray method numpy 1.24 has too.
+NUMPY2_ONLY = {"numpy.matvec", "numpy.vecmat", "numpy.vecdot", "numpy.linalg.vecdot",
+               "numpy.unstack", "numpy.cumulative_sum", "numpy.astype"}
+
+
+def numpy2_only_uses(source: str) -> set[str]:
+    """The `NUMPY2_ONLY` names that `source` imports or looks up on a numpy module."""
+    tree = ast.parse(source)
+    modules = {}  # local name -> the numpy module or name it binds
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    # `import numpy.linalg` binds numpy, `import numpy.linalg as la` la
+                    modules[alias.asname or "numpy"] = alias.name if alias.asname else "numpy"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            for alias in node.names:
+                modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                used.add(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attrs = []
+            while isinstance(node, ast.Attribute):
+                attrs.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in modules:
+                used.add(".".join([modules[node.id], *reversed(attrs)]))
+    return used & NUMPY2_ONLY
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_no_numpy2_only_function(path):
+    assert numpy2_only_uses(path.read_text()) == set()
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import numpy as np\nnp.vecdot(a, b)", {"numpy.vecdot"}),
+    ("import numpy\nnumpy.linalg.vecdot(a, b)", {"numpy.linalg.vecdot"}),
+    ("from numpy import linalg as la\nla.vecdot(a, b)", {"numpy.linalg.vecdot"}),
+    ("from numpy import cumulative_sum", {"numpy.cumulative_sum"}),
+    ("import numpy as np\nnp.astype(x, float)", {"numpy.astype"}),
+    ("import numpy as np\nnp.zeros(3).astype(float)\nx.astype(int)", set()),
+])
+def test_numpy2_check_finds_each_form(source, found):
+    assert numpy2_only_uses(source) == found

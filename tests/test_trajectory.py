@@ -11,6 +11,7 @@ sector tests pin that running in the N <= N_max excitation sector gives
 what the same engine, or the same oracle, gives in the full space.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -46,6 +47,7 @@ from lrusim.observables import fit_exponential
 from lrusim.propagator import eigensystem, evolve
 from lrusim.trajectory import (
     _block_length,
+    _ChunkEngine,
     _chunk_size,
     _disorder_seed,
     _initial_density,
@@ -187,6 +189,46 @@ class TestDeterminism:
             assert np.max(np.abs(mean - getattr(ens, name))) < 1e-12, name
             assert np.max(np.abs(se - getattr(ens, name + "_se"))) < 1e-12, name
 
+    @pytest.mark.parametrize("disorder", [0.0, 2.0], ids=["W0", "W2"])
+    def test_chunk_rows_equal_single_trajectories(self, monkeypatch, disorder):
+        # strong noise and dissipation against a grid step of 1, so that
+        # rows jump several times between two grid points
+        config = chain_config("dissipation", 4.0, 12, 4.0, 0.5, 2, NoiseModel(1.0, 1.0),
+                              coding="plus", length=2, disorder=disorder)
+        passes = []  # sample_jump calls of each _resolve_jumps call
+        resolve_jumps = _ChunkEngine._resolve_jumps
+        sample_jump = lrusim.trajectory.sample_jump
+
+        def counting_resolve_jumps(self, *args):
+            passes.append(0)
+            return resolve_jumps(self, *args)
+
+        def counting_sample_jump(*args):
+            passes[-1] += 1
+            return sample_jump(*args)
+
+        monkeypatch.setattr(_ChunkEngine, "_resolve_jumps", counting_resolve_jumps)
+        monkeypatch.setattr(lrusim.trajectory, "sample_jump", counting_sample_jump)
+        chunk = _ChunkEngine(config, range(config.n_trajectories),
+                             lrusim.trajectory._sector(config)).run()
+        # a second pass: some row jumped again before the event it was stepped to
+        assert max(passes) > 1
+        for index in range(config.n_trajectories):
+            single = run_trajectory(config, index)
+            for name, value in vars(single).items():
+                if name != "time_grid":
+                    assert np.max(np.abs(chunk[name][index] - value)) <= 1e-12, (index, name)
+
+    @pytest.mark.parametrize("name", ["periodic", "random", "plus"])
+    def test_draw_buffer_length_does_not_change_result(self, monkeypatch, name):
+        config = BLOCK_CONFIGS[name]
+        default = run_ensemble(config)
+        for length in (1, 3):
+            monkeypatch.setattr(lrusim.trajectory, "_DRAW_BUFFER", length)
+            other = run_ensemble(config)
+            for field, value in vars(default).items():
+                assert np.array_equal(value, getattr(other, field)), (length, field)
+
     def test_one_trajectory_has_zero_standard_errors(self):
         config = replace(short_config("random_feedback", "plus"), n_trajectories=1)
         ens = run_ensemble(config)
@@ -286,11 +328,14 @@ class TestBlockLength:
                                   t_max=3.0, dt=0.05, n_trajectories=8, master_seed=3)
         grid = config.time_grid
 
-        def on_the_grid(channel, rng, after=None):
-            return grid[rng.integers(1, grid.size)] if after is None else math.inf
+        def on_the_grid(channel, draw, after=None):
+            # one time per uniform that `draw` returns, as the schedule gives
+            if after is not None:
+                return np.full_like(after, math.inf)
+            return grid[(1 + np.floor(draw() * (grid.size - 1))).astype(int)]
 
         monkeypatch.setattr(lrusim.trajectory, "next_measurement", on_the_grid)
-        first = np.array([on_the_grid(config.channel, _stream(3, i, 2))
+        first = np.array([on_the_grid(config.channel, _stream(3, i, 2).random)
                           for i in range(config.n_trajectories)])
         assert np.unique(first).size > 1
         ens = run_ensemble(config)
@@ -533,26 +578,48 @@ def no_jump_system(spec, noise, channel, basis):
     return h_eff, decay, eigensystem(h_eff, hermitian=False)
 
 
+def bisects(points, span) -> bool:
+    """Whether a solve that evaluated the norm at `points`, in order, ever bisected.
+
+    A bisection step evaluates the midpoint of its bracket, whose ends are 0,
+    the span or earlier points; a Newton step hits such a midpoint exactly
+    only by chance.
+    """
+    ends = [0.0, span]
+    for point in points:
+        if any(point == 0.5 * (a + b) for a, b in itertools.combinations(ends, 2)):
+            return True
+        ends.append(point)
+    return False
+
+
+def relaxing_qutrit():
+    """One site in (|0> + |1> + |2>)/sqrt(3) under sqrt(gamma) a: levels
+    decaying at different rates, the norm tending to 1/3."""
+    basis = FockBasis(1)
+    h_eff, decay, system = no_jump_system(LatticeSpec(1, 2.0, 1.0, 0.0),
+                                          NoiseModel(relaxation_rate=0.8), None, basis)
+    return h_eff, decay, system, np.ones(3, dtype=complex) / math.sqrt(3.0)
+
+
 class TestJumpTime:
     #: Norm evaluations allowed per solve; bisecting the span down to float
-    #: resolution takes about 52. The cases below take 2 to 6.
+    #: resolution takes about 52. The cases below take 2 to 7.
     MAX_EVALUATIONS = 10
 
     @pytest.mark.parametrize("case", ["L1-relaxation", "L2-dissipation"])
     def test_norm_at_solution_is_the_threshold(self, monkeypatch, case):
         if case == "L1-relaxation":
-            # three levels decaying at different rates under sqrt(gamma) a
-            spec, basis = LatticeSpec(1, 2.0, 1.0, 0.0), FockBasis(1)
-            noise, channel, span = NoiseModel(relaxation_rate=0.8), None, 3.0
-            psi0 = np.ones(3, dtype=complex) / math.sqrt(3.0)
+            h_eff, decay, (evals, vecs, vinv), psi0 = relaxing_qutrit()
+            span = 3.0
         else:
             # a leakage pair hopping onto a dissipative site: the norm falls
             # in steps, with near-flat stretches between them
             spec, basis = LatticeSpec(2, 0.0, 10.0, 1.0), FockBasis(2, 2)
             noise, channel, span = NoiseModel(0.01, 0.01), ResetChannel("dissipation", 2.0), 20.0
+            h_eff, decay, (evals, vecs, vinv) = no_jump_system(spec, noise, channel, basis)
             psi0 = np.zeros(basis.dimension, dtype=complex)
             psi0[basis.index([2, 0])] = 1.0
-        h_eff, decay, (evals, vecs, vinv) = no_jump_system(spec, noise, channel, basis)
         coeffs = vinv @ psi0
         end = evolve_nonhermitian_oracle(h_eff, psi0, span)
         n_end = float(np.vdot(end, end).real)
@@ -567,12 +634,52 @@ class TestJumpTime:
         monkeypatch.setattr(lrusim.trajectory, "evolve", counting_evolve)
         for threshold in (1.0 - 1e-9, 0.99, 0.9, 0.7, 0.5, 0.4, n_end + 1e-9):
             calls.clear()
-            tau, amp = _jump_time(vecs, evals, coeffs, decay, threshold, span, 1.0, n_end)
+            (tau,), (amp,) = _jump_time(vecs, evals, coeffs[None], decay, np.array([threshold]),
+                                        np.array([span]), np.ones(1), np.array([n_end]))
             assert 0.0 < tau < span
             psi = evolve_nonhermitian_oracle(h_eff, psi0, tau)
             assert abs(np.vdot(psi, psi).real - threshold) <= 1e-12, threshold
             assert np.max(np.abs(amp - psi)) < 1e-10, threshold
             assert len(calls) <= self.MAX_EVALUATIONS, threshold
+
+    #: (span, threshold) of each row of the batched solve. The row of span
+    #: 10 meets the flat tail of the norm, where a Newton step leaves the
+    #: bracket, and bisects.
+    ROWS = ((3.0, 0.9), (3.0, 0.5), (10.0, 0.45), (5.0, 1.0 - 1e-9), (1.0, 0.7))
+    BISECTING_ROW = 2
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per-row"])
+    def test_rows_solve_as_one(self, monkeypatch, per_row):
+        # the engine passes one eigensystem for every row at W = 0, one per row otherwise
+        h_eff, decay, (evals, vecs, vinv), psi0 = relaxing_qutrit()
+        spans, thresholds = (np.array(column) for column in zip(*self.ROWS))
+        n_end = np.array([np.sum(np.abs(evolve_nonhermitian_oracle(h_eff, psi0, span)) ** 2)
+                          for span in spans])
+        coeffs = np.tile(vinv @ psi0, (spans.size, 1))
+        points = []
+
+        def recording_evolve(vecs, evals, coeffs, taus):
+            points.append(np.copy(taus))
+            return evolve(vecs, evals, coeffs, taus)
+
+        monkeypatch.setattr(lrusim.trajectory, "evolve", recording_evolve)
+        if per_row:
+            system = (np.broadcast_to(vecs, (spans.size, *vecs.shape)),
+                      np.broadcast_to(evals, (spans.size, *evals.shape)))
+        else:
+            system = (vecs, evals)
+        taus, amps = _jump_time(*system, coeffs, decay, thresholds, spans,
+                                np.ones(spans.size), n_end)
+        assert len(points) <= self.MAX_EVALUATIONS
+        for row, (span, threshold) in enumerate(self.ROWS):
+            points.clear()
+            (tau,), (amp,) = _jump_time(vecs, evals, coeffs[row:row + 1], decay,
+                                        thresholds[row:row + 1], spans[row:row + 1],
+                                        np.ones(1), n_end[row:row + 1])
+            assert bisects([p[0] for p in points], span) == (row == self.BISECTING_ROW), row
+            assert abs(taus[row] - tau) <= 1e-12 and np.max(np.abs(amps[row] - amp)) <= 1e-12
+            psi = evolve_nonhermitian_oracle(h_eff, psi0, taus[row])
+            assert abs(np.vdot(psi, psi).real - threshold) <= 1e-12, row
 
 
 class TestClosedForms:
