@@ -7,11 +7,14 @@ that the second-level energy 2*omega_l - U_l is identical on every site:
 the single-excitation levels are detuned site to site while the two-boson
 ("leakage") level stays resonant across the chain.
 
-Every chain operator is a plain dense ndarray over a `FockBasis` the caller
-passes: the full 3**L space, `FockBasis(L)`, or one of its
-excitation-number sectors, with matrix elements read off the basis
-occupation table. The one operator not over a `FockBasis` is the L x L
-effective model of a single leakage pair
+Every chain operator is built over a `FockBasis` the caller passes: the
+full 3**L space, `FockBasis(L)`, or one of its excitation-number sectors,
+with matrix elements read off the basis occupation table. The Hamiltonian
+is a dense ndarray (`build_bose_hubbard`). A local operator is a
+`Monomial` of (src, dst, amp) entries (`site_monomial`), the form of every
+jump operator, since each maps a Fock state to at most one Fock state;
+`build_site_operator` gives its dense matrix. The one operator not over a
+`FockBasis` is the L x L effective model of a single leakage pair
 (`build_effective_propagation`). No-jump Hamiltonians are not built here:
 they are H - (i/2) diag(d), with d from `channels.jump_table`.
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -71,8 +75,8 @@ class LatticeSpec:
     disorder: float = 0.0
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("length must be >= 1")
+        if not isinstance(self.length, numbers.Integral) or self.length < 1:
+            raise ValueError("length must be an integer >= 1")
         if not math.isfinite(self.mean_frequency):
             raise ValueError("mean_frequency must be finite")
         if not (0 <= self.hopping < math.inf and 0 <= self.disorder < math.inf):

@@ -6,9 +6,10 @@ background noise, and reports leakage/occupation/coherence series on a
 common observable grid. Ensembles average trajectories and attach
 standard errors. Draws that cannot differ are made once per chunk: at
 W = 0 every realization is the same, so a chunk builds and diagonalizes
-one no-jump Hamiltonian, and at T = 0 every trajectory starts in the same
-state (`_ChunkEngine._build_states_and_hamiltonians`). The results are
-those of per-trajectory draws, bit for bit.
+one no-jump Hamiltonian, whose one eigensystem every row reads, and at
+T = 0 every trajectory starts in the same state
+(`_ChunkEngine._build_states_and_hamiltonians`). The results are those of
+per-trajectory draws, bit for bit.
 
 The engine works in the excitation-number sector N <= N_max of the chain
 (`lattice.FockBasis`). The no-jump Hamiltonian commutes with the total
@@ -41,14 +42,15 @@ state advances to the grid point, resolving jumps on the way, and only
 then is it recorded.
 Quantum jumps follow the waiting-time rule (Dalibard, Castin and Molmer,
 PRL 68, 580 (1992)): a trajectory jumps when its no-jump norm falls to a
-uniform threshold. Every row whose norm falls below its threshold on the
-way to the same step is resolved in one batched pass per jump generation
-(`_ChunkEngine._resolve_jumps`): the crossing times of all of them are
-solved together by a bracketed Newton iteration on the log of the norm,
-whose derivative -<psi|diag(d)|psi> is exact (`_jump_time`), and all their
-jumps are drawn and applied by one `channels.sample_jump` call, the draw
-of feedback measurements too. Passes repeat while a row falls below its
-next threshold before the end of its step.
+uniform threshold. Outside a block, a row moves forward in time only
+through `_ChunkEngine._advance_to`. Each of its passes evolves the open
+rows to their targets at once. The rows whose norm falls below their
+threshold on the way have their crossing times solved together by a
+bracketed Newton iteration on the log of the norm, whose derivative
+-<psi|diag(d)|psi> is exact (`_jump_time`), and all their jumps are drawn
+and applied by one `channels.sample_jump` call, the draw of feedback
+measurements too. Passes repeat, one per jump generation, while a row
+falls below its next threshold before its target.
 
 Each trajectory draws from its own streams, keyed by (master_seed, index,
 purpose): 0 its disorder, 1 its thermal initial state, 2 its measurement
@@ -79,6 +81,7 @@ attribute here: the benchmark's tracer and the tests swap it.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -166,8 +169,11 @@ class SimulationConfig:
     def __post_init__(self):
         if not (0 < self.t_max < math.inf and 0 < self.dt < math.inf):
             raise ValueError("t_max and dt must be positive and finite")
-        if self.n_trajectories < 1:
-            raise ValueError("need at least one trajectory")
+        if not isinstance(self.n_trajectories, numbers.Integral) or self.n_trajectories < 1:
+            raise ValueError("n_trajectories must be an integer >= 1")
+        if not isinstance(self.master_seed, numbers.Integral) or self.master_seed < 0:
+            # SeedSequence takes only non-negative integers, and only once running
+            raise ValueError("master_seed must be an integer >= 0")
         if self.observable_stride < 1:
             raise ValueError("observable_stride must be >= 1")
         steps = self.t_max / self.observable_dt
@@ -298,9 +304,9 @@ class _ChunkEngine:
         every idle site starts in |0> with probability one, whatever the
         realization, so one initial state serves every row. At W > 0 each
         row has its own realization, and at T > 0 its own thermal draw, from
-        its own streams. The eigensystem is kept as a read-only broadcast
-        over the batch, so indexing it by rows reads what per-row copies
-        would hold.
+        its own streams. `self.eig` is (evals, vecs, vinv), of shapes (d,),
+        (d, d), (d, d) when the chunk has one realization, and (B, d),
+        (B, d, d), (B, d, d) for B rows otherwise; `_eig_rows` reads either.
         """
         cfg, spec, basis = self.config, self.spec, self.basis
         keys = self.indices[:1] if spec.disorder == 0 else self.indices
@@ -309,10 +315,7 @@ class _ChunkEngine:
         diagonal = np.arange(self.dim)
         hams[:, diagonal, diagonal] -= 0.5j * self.jumps.decay
         parts = eigensystem(hams, hermitian=not self.has_jumps)
-        # the chunk's one eigensystem, which `_resolve_jumps` reads unindexed
-        self.shared = tuple(part[0] for part in parts) if len(keys) == 1 else None
-        self.evals, self.vecs, self.vinv = (
-            np.broadcast_to(part, (self.batch, *part.shape[1:])) for part in parts)
+        self.eig = tuple(part[0] for part in parts) if len(keys) == 1 else parts
 
         coding = cfg.coding_vector()
         starts = self.indices[:1] if cfg.noise.temperature == 0 else self.indices
@@ -336,61 +339,44 @@ class _ChunkEngine:
             self.jump_draws = _Draws(self.config.master_seed, self.indices, 3)
             self.thresholds = self.jump_draws.take(np.arange(self.batch))
 
-    # -- evolution primitives ---------------------------------------------
+    # -- evolution ---------------------------------------------------------
 
-    def _evolve_rows(self, rows: np.ndarray, taus: np.ndarray):
-        """Advance the given rows by per-row durations (states only)."""
-        # a slice views the whole batch where an index array would copy it
-        rows = slice(None) if rows.size == self.batch else rows
-        coeffs = np.matmul(self.vinv[rows], self.psi[rows, :, None])[:, :, 0]
-        self.psi[rows] = evolve(self.vecs[rows], self.evals[rows], coeffs, taus)
+    def _eig_rows(self, part: np.ndarray, rows) -> np.ndarray:
+        """The `rows` of `part`, a part of `self.eig` or an array over it; all of it when shared."""
+        return part[rows] if self.eig[0].ndim > 1 else part
 
     def _advance_to(self, rows: np.ndarray, targets: np.ndarray):
-        """Advance rows to absolute times, resolving jumps on the way."""
-        taus = targets - self.t_cur[rows]
-        anchors = self.psi[rows].copy()
-        t_from = self.t_cur[rows].copy()
-        self._evolve_rows(rows, taus)
-        self.t_cur[rows] = targets
-        norms = np.einsum("bi,bi->b", self.psi[rows], self.psi[rows].conj()).real
-        crossed = norms < self.thresholds[rows]
-        if crossed.any():
-            self._resolve_jumps(rows[crossed], anchors[crossed], t_from[crossed],
-                                targets[crossed])
+        """Advance rows to absolute times `targets`, resolving jumps on the way.
 
-    def _resolve_jumps(self, rows: np.ndarray, anchors: np.ndarray, t_from: np.ndarray,
-                       t_to: np.ndarray):
-        """Waiting-time jump resolution of `rows`, each from `anchors` at t_from to t_to.
-
-        Each pass evolves every row still to be resolved to t_to, sets the
+        Waiting-time rule: each pass evolves every row still open from its
+        anchor, its state at the start of the pass, to its target, sets the
         state of those whose norm stays at or above their threshold, and for
         the rest solves every crossing time at once (`_jump_time`), draws
         every jump with one `sample_jump` call and a new threshold per row,
-        and starts the next pass from the jumped states. The rows' t_cur is
-        already t_to. The eigensystem is gathered once per call, and not at
-        all when the chunk shares one.
+        and starts the next pass from the jumped states. At W > 0 each part
+        of the eigensystem is gathered right before its one use: gathering
+        all three first ran the event loop slower.
         """
-        if self.shared is not None:
-            evals, vecs, vinv = self.shared
-        else:
-            evals, vecs, vinv = self.evals[rows], self.vecs[rows], self.vinv[rows]
+        anchors, t_from = self.psi[rows], self.t_cur[rows]
+        self.t_cur[rows] = targets
+        evals, vecs, vinv = self.eig
         while True:
-            coeffs = np.matmul(vinv, anchors[:, :, None])[:, :, 0]
-            spans = t_to - t_from
-            ends = evolve(vecs, evals, coeffs, spans)
+            # a slice views the whole batch where an index array would copy it
+            sel = slice(None) if rows.size == self.batch else rows
+            coeffs = np.matmul(self._eig_rows(vinv, sel), anchors[:, :, None])[:, :, 0]
+            spans = targets - t_from
+            ends = evolve(self._eig_rows(vecs, sel), self._eig_rows(evals, sel), coeffs, spans)
             n_end = (ends.real**2 + ends.imag**2).sum(axis=1)
             crossing = n_end < self.thresholds[rows]
             if not crossing.all():
                 self.psi[rows[~crossing]] = ends[~crossing]
                 if not crossing.any():
                     return
-                if vecs.ndim > 2:
-                    evals, vecs, vinv = evals[crossing], vecs[crossing], vinv[crossing]
-                rows, anchors, coeffs, t_from, t_to, spans, n_end = (
-                    part[crossing] for part in (rows, anchors, coeffs, t_from, t_to, spans, n_end))
+                rows, anchors, coeffs, t_from, targets, spans, n_end = (
+                    part[crossing] for part in (rows, anchors, coeffs, t_from, targets, spans, n_end))
             n_start = (anchors.real**2 + anchors.imag**2).sum(axis=1)
-            taus, amps = _jump_time(vecs, evals, coeffs, self.jumps.decay,
-                                    self.thresholds[rows], spans, n_start, n_end)
+            taus, amps = _jump_time(self._eig_rows(vecs, rows), self._eig_rows(evals, rows), coeffs,
+                                    self.jumps.decay, self.thresholds[rows], spans, n_start, n_end)
             jumped, _ = sample_jump(self.jumps, amps, self.jump_draws.take(rows))
             anchors = jumped / np.linalg.norm(jumped, axis=1)[:, None]
             self.thresholds[rows] = self.jump_draws.take(rows)
@@ -399,14 +385,13 @@ class _ChunkEngine:
     # -- feedback measurements ---------------------------------------------
 
     def _measure_rows(self, rows: np.ndarray):
+        """Measure and reset `rows`, then schedule each one's next measurement."""
         psi = self.psi[rows]
         reset, _ = sample_jump(self.resets, psi, self.meas_draws.take(rows))
         # preserve the pre-measurement norm so waiting-time bookkeeping
         # keeps tracking only the non-Hermitian (dissipative) norm loss
         scale = np.linalg.norm(psi, axis=1) / np.linalg.norm(reset, axis=1)
         self.psi[rows] = reset * scale[:, None]
-
-    def _schedule_next_measurement(self, rows: np.ndarray):
         self.next_meas[rows] = next_measurement(
             self.channel, lambda: self.meas_draws.take(rows), self.next_meas[rows])
 
@@ -431,7 +416,7 @@ class _ChunkEngine:
         for name, values in first.items():
             out[name][:, 0] = values
         offsets = np.arange(_block_length(self.batch, self.dim, size))
-        steps = np.exp(-1j * self.evals[:, None, :]
+        steps = np.exp(-1j * self.eig[0][..., None, :]
                        * (offsets * self.config.observable_dt)[:, None])
         upcoming = np.ones(self.batch, dtype=int)  # each row's next grid index
         while (rows := np.nonzero(upcoming < size)[0]).size:
@@ -440,7 +425,7 @@ class _ChunkEngine:
             index = upcoming[sel, None] + offsets
             on_grid = index < size
             times = grid[np.minimum(index, size - 1)]
-            amps = self._no_jump_block(sel, times[:, 0], steps[sel])
+            amps = self._no_jump_block(sel, times[:, 0], self._eig_rows(steps, sel))
             norms = (np.einsum("rki,rki->rk", amps.real, amps.real)
                      + np.einsum("rki,rki->rk", amps.imag, amps.imag))
             due = self.next_meas[sel, None] <= times
@@ -473,10 +458,11 @@ class _ChunkEngine:
         `steps` holds exp(-i lambda k observable_dt) of the same rows; the
         coefficients V^-1 psi are phased from t_cur to t_first once.
         """
-        coeffs = np.matmul(self.vinv[rows], self.psi[rows, :, None])[:, :, 0]
+        evals, vecs, vinv = self.eig
+        coeffs = np.matmul(self._eig_rows(vinv, rows), self.psi[rows, :, None])[:, :, 0]
         lead = t_first - self.t_cur[rows]
-        coeffs *= np.exp(-1j * self.evals[rows] * lead[:, None])
-        return np.matmul(coeffs[:, None, :] * steps, self.vecs[rows].swapaxes(-1, -2))
+        coeffs *= np.exp(-1j * self._eig_rows(evals, rows) * lead[:, None])
+        return np.matmul(coeffs[:, None, :] * steps, self._eig_rows(vecs, rows).swapaxes(-1, -2))
 
     def _step_to(self, rows: np.ndarray, targets: np.ndarray) -> dict[str, np.ndarray]:
         """Step rows to their grid points `targets` through every event, and their series there."""
@@ -484,7 +470,6 @@ class _ChunkEngine:
             measured = rows[pending]
             self._advance_to(measured, self.next_meas[measured])
             self._measure_rows(measured)
-            self._schedule_next_measurement(measured)
         self._advance_to(rows, targets)
         return self._series(self.psi[rows])
 

@@ -17,8 +17,9 @@ for one: a name a module imports and never uses is a leftover. The only
 imports allowed to go unused are `__future__` features, the names
 `lrusim.__init__` re-exports in `__all__`, and the names the tracer swaps
 on `lrusim.trajectory`. Likewise `test_every_definition_is_referenced`: a
-module-level function, class or constant of the package that no code of
-the package, its tests or the benchmark names is an orphan. And
+module-level function, class or constant of the package, or a method or
+property of one of its classes, that no code of the package, its tests or
+the benchmark names is an orphan. And
 `test_no_numpy2_only_function`: pyproject.toml accepts numpy 1.24, so the
 package may call no function that numpy 2.0 added.
 """
@@ -140,22 +141,26 @@ def test_every_import_is_used(path):
     assert unused_imports(path) - allowed.get(path.stem, set()) == set()
 
 
-def module_definitions(path: Path) -> set[str]:
-    """Module-level functions, classes and assigned names of a module, outside dunders."""
+def definitions(source: str) -> set[str]:
+    """Module-level functions, classes and assigned names of a module, and the
+    methods and properties of its classes as `Class.name`, outside dunders."""
     names = set()
-    for node in ast.parse(path.read_text()).body:
+    for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names |= {f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef)}
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names |= {target.id for target in targets if isinstance(target, ast.Name)}
-    return {name for name in names if not name.startswith("__")}
+    return {name for name in names if not name.rsplit(".", 1)[-1].startswith("__")}
 
 
-def referenced_names(path: Path) -> set[str]:
+def referenced_names(source: str) -> set[str]:
     """Names a file reads, attributes it looks up, names it imports, and its `__all__`."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -169,12 +174,30 @@ def referenced_names(path: Path) -> set[str]:
     return names
 
 
+def unreferenced(source: str, referenced: set[str]) -> set[str]:
+    """The `definitions` of `source` whose name is not in `referenced`."""
+    return {name for name in definitions(source) if name.rsplit(".", 1)[-1] not in referenced}
+
+
 def test_every_definition_is_referenced():
-    referenced = set().union(*(referenced_names(path) for folder in ("src", "tests", "lrubench")
+    referenced = set().union(*(referenced_names(path.read_text())
+                               for folder in ("src", "tests", "lrubench")
                                for path in (ROOT / folder).rglob("*.py")))
     orphans = {f"{path.stem}.{name}" for path in PACKAGE.glob("*.py")
-               for name in module_definitions(path) - referenced}
+               for name in unreferenced(path.read_text(), referenced)}
     assert orphans == set()
+
+
+def test_definition_check_finds_an_orphaned_method():
+    source = (
+        "class Engine:\n"
+        "    def __init__(self):\n        self.step()\n"
+        "    def step(self):\n        return self.size\n"
+        "    @property\n    def size(self):\n        return 1\n"
+        "    def left_behind(self):\n        pass\n"
+        "Engine()\n"
+    )
+    assert unreferenced(source, referenced_names(source)) == {"Engine.left_behind"}
 
 
 #: Functions that numpy 2.0 added, by full name; `numpy.astype` is the

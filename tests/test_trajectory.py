@@ -145,6 +145,13 @@ HOT = short_config("random_feedback", "plus", lattice=LatticeSpec(3, 30.0, 10.0,
                    noise=NoiseModel(0.05, 0.05, 3e-4))
 
 
+def jumpy_config(disorder):
+    """Strong noise and dissipation against a grid step of 1, so that rows
+    jump several times between two grid points."""
+    return chain_config("dissipation", 4.0, 12, 4.0, 0.5, 2, NoiseModel(1.0, 1.0),
+                        coding="plus", length=2, disorder=disorder)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("config", [
         pytest.param(short_config("periodic_feedback", "ket2"), id="periodic_feedback-ket2"),
@@ -191,23 +198,20 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("disorder", [0.0, 2.0], ids=["W0", "W2"])
     def test_chunk_rows_equal_single_trajectories(self, monkeypatch, disorder):
-        # strong noise and dissipation against a grid step of 1, so that
-        # rows jump several times between two grid points
-        config = chain_config("dissipation", 4.0, 12, 4.0, 0.5, 2, NoiseModel(1.0, 1.0),
-                              coding="plus", length=2, disorder=disorder)
-        passes = []  # sample_jump calls of each _resolve_jumps call
-        resolve_jumps = _ChunkEngine._resolve_jumps
+        config = jumpy_config(disorder)
+        passes = []  # sample_jump calls of each _advance_to call
+        advance_to = _ChunkEngine._advance_to
         sample_jump = lrusim.trajectory.sample_jump
 
-        def counting_resolve_jumps(self, *args):
+        def counting_advance_to(self, *args):
             passes.append(0)
-            return resolve_jumps(self, *args)
+            return advance_to(self, *args)
 
         def counting_sample_jump(*args):
             passes[-1] += 1
             return sample_jump(*args)
 
-        monkeypatch.setattr(_ChunkEngine, "_resolve_jumps", counting_resolve_jumps)
+        monkeypatch.setattr(_ChunkEngine, "_advance_to", counting_advance_to)
         monkeypatch.setattr(lrusim.trajectory, "sample_jump", counting_sample_jump)
         chunk = _ChunkEngine(config, range(config.n_trajectories),
                              lrusim.trajectory._sector(config)).run()
@@ -218,6 +222,50 @@ class TestDeterminism:
             for name, value in vars(single).items():
                 if name != "time_grid":
                     assert np.max(np.abs(chunk[name][index] - value)) <= 1e-12, (index, name)
+
+    @pytest.mark.parametrize("disorder", [0.0, 2.0], ids=["W0", "W2"])
+    def test_one_evolution_per_pass(self, monkeypatch, disorder):
+        # each pass of `_advance_to` evolves its open rows once, and a pass
+        # follows the first one only after a jump draw
+        config = jumpy_config(disorder)
+        calls = {"advance": 0, "jumps": 0, "evolve": 0}
+        shapes = []  # eigenvector shape of every evolve call
+        solving = []  # set while a `_jump_time` call runs
+        advance_to, jump_time = _ChunkEngine._advance_to, lrusim.trajectory._jump_time
+        evolve_, sample_jump = lrusim.trajectory.evolve, lrusim.trajectory.sample_jump
+
+        def counting_advance_to(self, *args):
+            calls["advance"] += 1
+            return advance_to(self, *args)
+
+        def flagged_jump_time(*args):
+            solving.append(True)
+            try:
+                return jump_time(*args)
+            finally:
+                solving.pop()
+
+        def counting_evolve(vecs, *args):
+            shapes.append(np.shape(vecs))
+            calls["evolve"] += not solving
+            return evolve_(vecs, *args)
+
+        def counting_sample_jump(table, *args):
+            calls["jumps"] += table is chunk.jumps
+            return sample_jump(table, *args)
+
+        monkeypatch.setattr(_ChunkEngine, "_advance_to", counting_advance_to)
+        monkeypatch.setattr(lrusim.trajectory, "_jump_time", flagged_jump_time)
+        monkeypatch.setattr(lrusim.trajectory, "evolve", counting_evolve)
+        monkeypatch.setattr(lrusim.trajectory, "sample_jump", counting_sample_jump)
+        chunk = _ChunkEngine(config, range(config.n_trajectories),
+                             lrusim.trajectory._sector(config))
+        chunk.run()
+        assert calls["jumps"] > 0
+        assert calls["evolve"] == calls["advance"] + calls["jumps"]
+        if disorder == 0:
+            # the chunk's one eigensystem, never a copy per row
+            assert {len(shape) for shape in shapes} == {2}
 
     @pytest.mark.parametrize("name", ["periodic", "random", "plus"])
     def test_draw_buffer_length_does_not_change_result(self, monkeypatch, name):
@@ -507,6 +555,21 @@ class TestTimeGrid:
         # an infinite dt used to give a one-point grid
         with pytest.raises(ValueError, match="finite"):
             chain_config("dissipation", 1.0, 1, t_max, dt, 1, NoiseModel())
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("make, match", [
+        (lambda: chain_config("dissipation", 1.0, 2.5, 1.0, 0.1, 1, NoiseModel()), "n_trajectories"),
+        (lambda: chain_config("dissipation", 1.0, 4, 1.0, 0.1, 1, NoiseModel(), seed=-1),
+         "master_seed"),
+        (lambda: chain_config("dissipation", 1.0, 4, 1.0, 0.1, 1, NoiseModel(), seed=1.5),
+         "master_seed"),
+        (lambda: LatticeSpec(2.5, 0.0, 10.0, 1.0), "length"),
+    ], ids=["trajectories-2.5", "seed--1", "seed-1.5", "length-2.5"])
+    def test_non_integer_count_rejected_at_construction(self, make, match):
+        # each used to pass construction and fail only inside run_ensemble or FockBasis
+        with pytest.raises(ValueError, match=match):
+            make()
 
 
 class TestTemperature:
