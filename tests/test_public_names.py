@@ -148,12 +148,12 @@ def definitions(source: str) -> set[str]:
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
-        if isinstance(node, ast.ClassDef):
-            names |= {f"{node.name}.{item.name}" for item in node.body
-                      if isinstance(item, ast.FunctionDef)}
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names |= {target.id for target in targets if isinstance(target, ast.Name)}
+        if isinstance(node, ast.ClassDef):
+            names |= {f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef)}
     return {name for name in names if not name.rsplit(".", 1)[-1].startswith("__")}
 
 
