@@ -1,24 +1,25 @@
-"""Closed-form results for the minimal (two-transmon) leakage removal unit.
+"""Closed-form results for the leakage removal unit.
 
 The two-excitation dynamics of two resonant transmons separates into
 leakage propagation (the pair |20> <-> |02|, slow, effective hopping
 J_prop = 2 J^2/U) and leakage disintegration (|20/02> <-> |11>, fast,
-frequency sqrt(U^2 + 16 J^2)). Each reset mechanism at the second site has
-two optimal rates, one per time scale; the functions below give decay
-rates, survival norms and qubit-subspace lifetimes, all in angular
-frequency units with hbar = 1. All formulas are written dimensionless in
-the rates; callers supply consistent units.
+frequency sqrt(U^2 + 16 J^2)). Each reset mechanism at the last site has
+two optimal rates, one per time scale. The functions below give decay
+rates, survival norms and qubit-subspace lifetimes of the two-transmon
+unit, the perturbative survival norms of longer chains
+(`diss_norm_general_L`), and the decay gap of a measured, driven qubit
+(`liouvillian_qubit_gap`), all in angular frequency units with hbar = 1.
+All formulas are written dimensionless in the rates; callers supply
+consistent units.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 
 import numpy as np
-
-#: Relative guard band around exceptional points inside which limits are used.
-EP_GUARD = 1e-6
 
 GOLDEN_A = -(1.0 - math.sqrt(5.0)) / 2.0  # edge-localized L=3 constants
 GOLDEN_B = -(1.0 + math.sqrt(5.0)) / 2.0
@@ -69,20 +70,17 @@ def two_site_populations(anharmonicity: float, hopping: float, t: float,
 def disintegration_threshold() -> float:
     """Anharmonicity-to-hopping ratio above which the pair propagates intact.
 
-    Solves sin(U pi / (2 w_dis)) = (8 J^2 - U^2)/(U w_dis) for U/J; below the
-    root the pair disintegrates before it can hop as a whole.
+    Solves sin(U pi / (2 w_dis)) = (8 J^2 - U^2)/(U w_dis) for U/J by
+    bracketing (brentq on [1, 3], the one sign change); below the root the
+    pair disintegrates before it can hop as a whole.
     """
-    from scipy.optimize import brentq, newton
+    from scipy.optimize import brentq
 
     def residual(u):
         w = math.hypot(u, 4.0)
         return math.sin(u * math.pi / (2 * w)) - (8 - u**2) / (u * w)
 
-    root = brentq(residual, 1.0, 3.0, xtol=1e-12)
-    check = newton(residual, 1.8, tol=1e-10)
-    if abs(root - check) > 1e-8:
-        raise ArithmeticError("root finders disagree on the threshold")
-    return root
+    return brentq(residual, 1.0, 3.0, xtol=1e-12)
 
 
 def fb_leakage_rate_low(rate_fb: float, j_prop: float) -> float:
@@ -125,32 +123,34 @@ def fb_qubit_times(rate_fb: float, hopping: float, detuning: float) -> tuple[flo
     return t1, 2.0 * t1
 
 
+def _expm1_ratio(z):
+    """f(z) = (1 - exp(-z))/z elementwise, with f(0) = 1."""
+    return np.divide(-np.expm1(-z), z, out=np.ones_like(z), where=z != 0)
+
+
 def diss_norm_exact_L2(rate_d: float, j_prop: float, t) -> np.ndarray:
     """Survival norm of a leakage pair on site 1 with dissipation on site 2.
 
-    Exact two-site result in the propagation-regime effective model:
-    trigonometric branch below the exceptional point Gamma = 2 J_prop,
-    hyperbolic above, polynomial limit inside a narrow guard band.
+    Exact two-site result in the propagation-regime effective model
+    H = [[J_p, -J_p], [-J_p, J_p - i Gamma]]:
+
+        N(t) = e^{-Gamma t} + e^{-a t} [(Gamma t)^2/2 f(s t)^2 + Gamma t f(2 s t)]
+
+    with s = sqrt(Gamma^2 - 4 J_p^2), imaginary below the exceptional point
+    Gamma = 2 J_p, a = Gamma - s = 4 J_p^2/(Gamma + s) and
+    f(z) = (1 - e^{-z})/z. One expression at every rate: at s = 0 it is the
+    limit e^{-Gamma t}(1 + Gamma t + (Gamma t)^2/2), and since no exponent
+    has a positive real part it stays finite for any Gamma t.
     """
     if not (0 <= rate_d < math.inf and 0 < j_prop < math.inf):
         raise ValueError("need finite rate >= 0 and j_prop > 0")
     t = np.asarray(t, dtype=float)
     g, jp = rate_d, j_prop
-    gap = g**2 - 4.0 * jp**2
-    if abs(g - 2.0 * jp) <= EP_GUARD * 2.0 * jp:
-        # removable singularity: limit value at the exceptional point
-        return np.exp(-g * t) * (1.0 + g * t + (g * t) ** 2 / 2.0)
-    if g < 2.0 * jp:
-        s = math.sqrt(-gap)
-        pref = 1.0 / (4.0 - g**2 / jp**2)
-        osc = (4.0 - g**2 / jp**2 * np.cos(s * t)
-               + 2.0 * g / jp * math.sqrt(1.0 - g**2 / (4 * jp**2)) * np.sin(s * t))
-        return np.exp(-g * t) * pref * osc
-    s = math.sqrt(gap)
-    pref = 1.0 / (g**2 / jp**2 - 4.0)
-    osc = (-4.0 + g**2 / jp**2 * np.cosh(s * t)
-           + 2.0 * g / jp * math.sqrt(g**2 / (4 * jp**2) - 1.0) * np.sinh(s * t))
-    return np.exp(-g * t) * pref * osc
+    s = np.sqrt(complex((g - 2.0 * jp) * (g + 2.0 * jp)))
+    a = 4.0 * jp**2 / (g + s)
+    gt = g * t
+    bracket = (gt * _expm1_ratio(s * t)) ** 2 / 2.0 + gt * _expm1_ratio(2.0 * s * t)
+    return np.exp(-gt) + (np.exp(-a * t) * bracket).real
 
 
 def diss_rate_low(rate_d: float, j_prop: float) -> float:
@@ -184,7 +184,9 @@ def diss_norm_general_L(length: int, rate_d: float, j_prop: float, t,
     Perturbative multi-exponential sums for the dissipative effective model:
     `regime` is "low" (Gamma << J_prop) or "high" (Gamma >> J_prop);
     `borders` selects the edge-localized closed forms, available for
-    lengths 2 and 3 only. Weights sum to one at t = 0.
+    lengths 2 and 3 only. At L = 2 the chain has no bulk, so the edge forms
+    and the bulk forms are the same single exponentials, exp(-Gamma t) and
+    exp(-2 J_prop^2 t/Gamma). Weights sum to one at t = 0.
 
     The bulk sums (`borders=False`) use the open-chain modes and leave out
     the J_prop edge detuning of the two end sites that
@@ -203,22 +205,18 @@ def diss_norm_general_L(length: int, rate_d: float, j_prop: float, t,
     t = np.asarray(t, dtype=float)
     g, jp = rate_d, j_prop
 
-    if borders:
-        if length == 2:
-            if regime == "low":
-                return np.exp(-g * t)
-            return np.exp(-(2.0 * jp**2 / g) * t)
-        if length == 3:
-            if regime == "low":
-                return (0.5 * np.exp(-g * t)
-                        + np.exp(-g * t / 3.0) / 6.0
-                        + np.exp(-2.0 * g * t / 3.0) / 3.0)
-            a2, b2 = GOLDEN_A**2, GOLDEN_B**2
-            wa, wb = (1.0 + a2) / 5.0, (1.0 + b2) / 5.0
-            ra = (2.0 * jp**2 / g) / (1.0 + a2)
-            rb = (2.0 * jp**2 / g) / (1.0 + b2)
-            return wa * np.exp(-ra * t) + wb * np.exp(-rb * t)
-        raise ValueError("edge-localized closed forms exist for lengths 2 and 3 only")
+    if borders and length > 2:
+        if length > 3:
+            raise ValueError("edge-localized closed forms exist for lengths 2 and 3 only")
+        if regime == "low":
+            return (0.5 * np.exp(-g * t)
+                    + np.exp(-g * t / 3.0) / 6.0
+                    + np.exp(-2.0 * g * t / 3.0) / 3.0)
+        a2, b2 = GOLDEN_A**2, GOLDEN_B**2
+        wa, wb = (1.0 + a2) / 5.0, (1.0 + b2) / 5.0
+        ra = (2.0 * jp**2 / g) / (1.0 + a2)
+        rb = (2.0 * jp**2 / g) / (1.0 + b2)
+        return wa * np.exp(-ra * t) + wb * np.exp(-rb * t)
 
     total = np.zeros_like(t, dtype=float)
     if regime == "low":
@@ -267,8 +265,11 @@ def diss_qubit_times(rate_d: float, hopping: float, detuning_first_last: float,
 def liouvillian_qubit_gap(detuning: float, drive: float, rate_st: float) -> complex:
     """Slowest nonzero decay eigenvalue of the measured driven qubit.
 
-    On resonance (detuning = 0) the exact spectrum
-    {0, (-G +/- sqrt(G^2 - 16 b^2))/2, -G} is used; off resonance the
+    On resonance (detuning = 0) the exact spectrum is
+    {0, (-G +/- sqrt(G^2 - 16 b^2))/2, -G}, and the slowest nonzero mode is
+    the + root, returned in its Vieta form -8 b^2/(G + sqrt(G^2 - 16 b^2))
+    (complex root below the exceptional point G = 4|b|), which keeps full
+    precision for b << G; at b = 0 it is -G. Off resonance it is the
     second-order perturbative gap -4 G b^2/(G^2 + 4 D^2) (valid for
     b/D << 1, warned above 0.35).
     """
@@ -276,15 +277,10 @@ def liouvillian_qubit_gap(detuning: float, drive: float, rate_st: float) -> comp
     if not (math.isfinite(detuning) and math.isfinite(drive)):
         raise ValueError("detuning and drive must be finite")
     if detuning == 0:
-        disc = rate_st**2 - 16.0 * drive**2
-        if abs(disc) <= (EP_GUARD * max(rate_st, 1e-300)) ** 2:
-            return complex(-rate_st / 2.0)
-        root = np.sqrt(complex(disc))
-        lam_plus = (-rate_st + root) / 2.0
-        lam_minus = (-rate_st - root) / 2.0
-        candidates = [lam for lam in (lam_plus, lam_minus, complex(-rate_st))
-                      if abs(lam) > 1e-14]
-        return min(candidates, key=lambda lam: abs(lam.real))
+        if drive == 0:
+            return complex(-rate_st)
+        root = cmath.sqrt((rate_st - 4.0 * abs(drive)) * (rate_st + 4.0 * abs(drive)))
+        return -8.0 * drive**2 / (rate_st + root)
     ratio = abs(drive / detuning)
     if ratio > 0.35:
         warnings.warn("drive/detuning > 0.35: perturbative gap unreliable",

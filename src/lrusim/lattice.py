@@ -41,8 +41,6 @@ MAX_DIMENSION = 729
 #: Levels per site: the qubit pair |0>, |1> and the leakage level |2>.
 LEVELS = 3
 
-HERMITICITY_TOL = 1e-12
-
 SITE_OPERATOR_KINDS = ("annihilation", "creation", "number", "leakage_number")
 
 
@@ -117,7 +115,6 @@ class DisorderRealization:
     spec: LatticeSpec
     omegas: np.ndarray
     anharmonicities: np.ndarray
-    seed: int
 
     def __post_init__(self):
         for name in ("omegas", "anharmonicities"):
@@ -136,7 +133,7 @@ class DisorderRealization:
         from the uniform second-level constraint."""
         omegas = np.asarray(omegas, dtype=float)
         anh = 2.0 * omegas - spec.second_level_energy
-        return cls(spec=spec, omegas=omegas, anharmonicities=anh, seed=-1)
+        return cls(spec=spec, omegas=omegas, anharmonicities=anh)
 
 
 def realize_disorder(spec: LatticeSpec, seed: int) -> DisorderRealization:
@@ -152,7 +149,7 @@ def realize_disorder(spec: LatticeSpec, seed: int) -> DisorderRealization:
     omegas = spec.mean_frequency + delta
     # equivalent to 2*omega_l - (2*omega_bar - U_bar) but exact at delta = 0
     anh = spec.mean_anharmonicity + 2.0 * delta
-    return DisorderRealization(spec=spec, omegas=omegas, anharmonicities=anh, seed=seed)
+    return DisorderRealization(spec=spec, omegas=omegas, anharmonicities=anh)
 
 
 class FockBasis:
@@ -216,18 +213,6 @@ class FockBasis:
             raise ValueError("basis and lattice disagree on length")
 
 
-def _dense(basis: FockBasis, rows, cols, values, hermitian: bool) -> np.ndarray:
-    """Dense operator over `basis` with `values` accumulated at (rows, cols)."""
-    values = np.asarray(values)
-    matrix = np.zeros((basis.dimension, basis.dimension), dtype=values.dtype)
-    np.add.at(matrix, (rows, cols), values)
-    if hermitian:
-        maxdiff = np.abs(matrix - matrix.conj().T).max(initial=0.0)
-        if maxdiff > HERMITICITY_TOL * max(1.0, np.abs(matrix).max(initial=0.0)):
-            raise ValueError("matrix flagged hermitian is not hermitian")
-    return matrix
-
-
 class Monomial(NamedTuple):
     """Operator sum_k amp_k |dst_k><src_k| over the rows of a FockBasis.
 
@@ -266,11 +251,13 @@ def site_monomial(basis: FockBasis, site: int, kind: str) -> Monomial:
 def build_site_operator(basis: FockBasis, site: int, kind: str) -> np.ndarray:
     """Local operator at `site` (1-based) as a dense matrix over `basis`.
 
-    The dense form of `site_monomial`.
+    The dense form of `site_monomial`; its entries never share a row or a
+    column, so each amplitude is placed once.
     """
     op = site_monomial(basis, site, kind)
-    return _dense(basis, op.dst, op.src, op.amp,
-                  hermitian=kind in ("number", "leakage_number"))
+    matrix = np.zeros((basis.dimension, basis.dimension), dtype=op.amp.dtype)
+    matrix[op.dst, op.src] = op.amp
+    return matrix
 
 
 @functools.lru_cache(maxsize=4)

@@ -174,8 +174,8 @@ class SimulationConfig:
         if not isinstance(self.master_seed, numbers.Integral) or self.master_seed < 0:
             # SeedSequence takes only non-negative integers, and only once running
             raise ValueError("master_seed must be an integer >= 0")
-        if self.observable_stride < 1:
-            raise ValueError("observable_stride must be >= 1")
+        if not isinstance(self.observable_stride, numbers.Integral) or self.observable_stride < 1:
+            raise ValueError("observable_stride must be an integer >= 1")
         steps = self.t_max / self.observable_dt
         if abs(steps - round(steps)) > 1e-9 * steps:
             # the observable grid would stop short of t_max or run past it

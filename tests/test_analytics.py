@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.optimize import brentq, newton
 
 from lrusim.analytics import (
@@ -220,6 +222,22 @@ class TestDissipationNorms:
             assert diss_rate_high(g, j, u) == pytest.approx(8 * j**2 / g, rel=1e-3)
 
 
+class TestDissipationNormAtEveryRate:
+    # Gamma/2J_p below, at, next to and far above the exceptional point,
+    # out to Gamma t = 8e4, where exp(+s t) alone would overflow
+    @pytest.mark.parametrize("jp", [0.2, 1.0])
+    @pytest.mark.parametrize("ratio", [0.0, 0.5, 1 - 3e-7, 1.0, 1 + 1e-6, 2.0, 100.0])
+    def test_matches_matrix_exponential(self, ratio, jp):
+        rate = 2.0 * jp * ratio
+        heff = np.array([[jp, -jp], [-jp, jp - 1j * rate]], dtype=complex)
+        ts = np.linspace(0.0, 400.0 / jp, 401)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = diss_norm_exact_L2(rate, jp, ts)
+        reference = [np.sum(np.abs(expm(-1j * t * heff)[:, 0]) ** 2) for t in ts]
+        assert np.abs(norms - reference).max() < 1e-11
+
+
 class TestGeneralLengthNorms:
     def test_length_two_reduces_to_table_rows(self):
         g, jp = 0.23, 1.7
@@ -340,6 +358,16 @@ class TestLiouvillianGap:
         expected = (-g + math.sqrt(g**2 - 16 * beta**2)) / 2
         assert gap.real == pytest.approx(expected)
         assert gap.imag == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("rate", [1.0, 1e4])
+    @pytest.mark.parametrize("drive_ratio", [1e-9, 1e-6, 1e-3])
+    def test_on_resonance_slow_root_far_below_exceptional_point(self, drive_ratio, rate):
+        # the slow mode is the root of smaller modulus of
+        # lambda^2 + G lambda + 4 b^2; the other one is -G minus it
+        beta = drive_ratio * rate
+        gap = liouvillian_qubit_gap(0.0, beta, rate)
+        assert abs(gap) < abs(-rate - gap)
+        assert abs((gap + rate) * gap + 4 * beta**2) <= 1e-12 * 4 * beta**2
 
 
 NAN = math.nan

@@ -11,7 +11,6 @@ from lrusim.lattice import (
     DisorderRealization,
     FockBasis,
     LatticeSpec,
-    _dense,
     _hopping_part,
     build_bose_hubbard,
     build_effective_propagation,
@@ -232,13 +231,10 @@ class TestBoseHubbard:
         ham = build_bose_hubbard(realize_disorder(spec, 0), FockBasis(1))
         assert np.array_equal(ham, np.diag([0.0, 2.0, 3.0]))
 
-    def test_hermitian_flag_checked(self):
+    def test_hamiltonian_is_hermitian(self):
         spec = fig1_spec()
         ham = build_bose_hubbard(realize_disorder(spec, 0), FockBasis(3))
         assert np.abs(ham - ham.conj().T).max() < 1e-12
-        # the scatter refuses entries flagged hermitian that are not
-        with pytest.raises(ValueError, match="not hermitian"):
-            _dense(FockBasis(1), [0], [1], [1.0], hermitian=True)
 
 
 class TestEffectivePropagation:

@@ -565,7 +565,15 @@ class TestConfigValidation:
         (lambda: chain_config("dissipation", 1.0, 4, 1.0, 0.1, 1, NoiseModel(), seed=1.5),
          "master_seed"),
         (lambda: LatticeSpec(2.5, 0.0, 10.0, 1.0), "length"),
-    ], ids=["trajectories-2.5", "seed--1", "seed-1.5", "length-2.5"])
+        # an infinite stride gave the grid [nan], a NaN one failed inside round()
+        (lambda: chain_config("dissipation", 1.0, 4, 1.0, 0.1, math.inf, NoiseModel()),
+         "observable_stride"),
+        (lambda: chain_config("dissipation", 1.0, 4, 1.0, 0.1, math.nan, NoiseModel()),
+         "observable_stride"),
+        (lambda: chain_config("dissipation", 1.0, 4, 1.0, 0.1, 2.5, NoiseModel()),
+         "observable_stride"),
+    ], ids=["trajectories-2.5", "seed--1", "seed-1.5", "length-2.5", "stride-inf",
+            "stride-nan", "stride-2.5"])
     def test_non_integer_count_rejected_at_construction(self, make, match):
         # each used to pass construction and fail only inside run_ensemble or FockBasis
         with pytest.raises(ValueError, match=match):
