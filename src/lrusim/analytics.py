@@ -287,17 +287,3 @@ def liouvillian_qubit_gap(detuning: float, drive: float, rate_st: float) -> comp
                       stacklevel=2)
     return complex(-4.0 * rate_st * drive**2 / (rate_st**2 + 4.0 * detuning**2))
 
-
-def qubit_liouvillian_matrix(detuning: float, drive: float, rate_st: float) -> np.ndarray:
-    """Vectorized 4x4 Liouvillian of the measured driven qubit.
-
-    Basis (rho_00, rho_01, rho_10, rho_11) for H = detuning*sigma_z +
-    drive*sigma_x with standard projective measurements at rate_st.
-    """
-    d, b, g = detuning, drive, rate_st
-    return np.array([
-        [0, 1j * b, -1j * b, 0],
-        [1j * b, -g - 2j * d, 0, -1j * b],
-        [-1j * b, 0, -g + 2j * d, 1j * b],
-        [0, -1j * b, 1j * b, 0],
-    ], dtype=complex)

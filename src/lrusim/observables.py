@@ -109,7 +109,8 @@ def fit_exponential(times, values, t_start: float = 0.0,
     Fits in log space (linear least squares) when every sample in the window
     exceeds LOG_FIT_FLOOR, otherwise falls back to nonlinear least squares
     (`scipy.optimize.curve_fit`, imported on first use of the fallback).
-    Non-positive data or a degenerate window yield converged = False.
+    Non-positive or growing data, a degenerate window or a failed nonlinear
+    fit yield converged = False, with NaN decay time, amplitude and residual.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -126,7 +127,7 @@ def fit_exponential(times, values, t_start: float = 0.0,
     if np.all(y_win > LOG_FIT_FLOOR):
         slope, intercept = np.polyfit(t_win, np.log(y_win), 1)
         if slope >= 0:
-            return FitResult(math.nan, math.nan, window, _rms(y_win, y_win * 0), False)
+            return FitResult(math.nan, math.nan, window, math.nan, False)
         tau = -1.0 / slope
         amp = math.exp(intercept)
         model = amp * np.exp(-t_win / tau)

@@ -35,22 +35,22 @@ exp(-i lambda k observable_dt) computed once per chunk, and all of those
 points are recorded at once. A block ends a trajectory's stretch at its
 first event: a feedback measurement due at or before a grid point, or a
 no-jump norm below its jump threshold (the norm never increases between
-jumps, so the first such grid point follows the jump). That grid point
-is stepped on its own: measurements due at or before it (compared
-exactly) are applied first, each after the jumps before it, then the
-state advances to the grid point, resolving jumps on the way, and only
-then is it recorded.
+jumps, so the first such grid point follows the jump). From there to
+that grid point the row goes through `_ChunkEngine._advance_to`, the one
+event loop and the only way a row moves forward in time outside a block,
+and only then is the grid point recorded.
 Quantum jumps follow the waiting-time rule (Dalibard, Castin and Molmer,
 PRL 68, 580 (1992)): a trajectory jumps when its no-jump norm falls to a
-uniform threshold. Outside a block, a row moves forward in time only
-through `_ChunkEngine._advance_to`. Each of its passes evolves the open
-rows to their targets at once. The rows whose norm falls below their
-threshold on the way have their crossing times solved together by a
-bracketed Newton iteration on the log of the norm, whose derivative
+uniform threshold. Each pass of `_advance_to` evolves the open rows at
+once, each to its target or to its next measurement if that is due first
+(times compared exactly). The rows whose norm falls below their threshold
+on the way have their crossing times solved together by a bracketed
+Newton iteration on the log of the norm, whose derivative
 -<psi|diag(d)|psi> is exact (`_jump_time`), and all their jumps are drawn
-and applied by one `channels.sample_jump` call, the draw of feedback
-measurements too. Passes repeat, one per jump generation, while a row
-falls below its next threshold before its target.
+and applied by one `channels.sample_jump` call; the rows that reach their
+measurement are measured and reset by one more. Passes repeat, one per
+generation of events, so every row meets its jumps and measurements in
+time order.
 
 Each trajectory draws from its own streams, keyed by (master_seed, index,
 purpose): 0 its disorder, 1 its thermal initial state, 2 its measurement
@@ -290,8 +290,15 @@ class _ChunkEngine:
         self.resets = jump_table(reset_kraus(basis), self.dim)
         self.has_jumps = len(self.jumps.dst) > 0
         self._build_states_and_hamiltonians()
-        self._init_channel_schedule()
-        self._init_thresholds()
+        rows = np.arange(self.batch)
+        measuring = self.channel is not None and self.channel.is_feedback
+        self.meas_draws = _Draws(config.master_seed, self.indices, 2) if measuring else None
+        self.next_meas = np.full(self.batch, next_measurement(
+            self.channel, lambda: self.meas_draws.take(rows)))
+        self.jump_draws, self.thresholds = None, np.zeros(self.batch)
+        if self.has_jumps:
+            self.jump_draws = _Draws(config.master_seed, self.indices, 3)
+            self.thresholds = self.jump_draws.take(rows)
 
     # -- setup ------------------------------------------------------------
 
@@ -326,19 +333,6 @@ class _ChunkEngine:
         self.psi = np.array(np.broadcast_to(psi, (self.batch, self.dim)))
         self.t_cur = np.zeros(self.batch)
 
-    def _init_channel_schedule(self):
-        cfg, rows = self.config, np.arange(self.batch)
-        measuring = self.channel is not None and self.channel.is_feedback
-        self.meas_draws = _Draws(cfg.master_seed, self.indices, 2) if measuring else None
-        self.next_meas = np.full(self.batch, next_measurement(
-            self.channel, lambda: self.meas_draws.take(rows)))
-
-    def _init_thresholds(self):
-        self.jump_draws, self.thresholds = None, np.zeros(self.batch)
-        if self.has_jumps:
-            self.jump_draws = _Draws(self.config.master_seed, self.indices, 3)
-            self.thresholds = self.jump_draws.take(np.arange(self.batch))
-
     # -- evolution ---------------------------------------------------------
 
     def _eig_rows(self, part: np.ndarray, rows) -> np.ndarray:
@@ -346,16 +340,17 @@ class _ChunkEngine:
         return part[rows] if self.eig[0].ndim > 1 else part
 
     def _advance_to(self, rows: np.ndarray, targets: np.ndarray):
-        """Advance rows to absolute times `targets`, resolving jumps on the way.
+        """Advance rows to absolute times `targets` through their jumps and measurements.
 
-        Waiting-time rule: each pass evolves every row still open from its
-        anchor, its state at the start of the pass, to its target, sets the
-        state of those whose norm stays at or above their threshold, and for
-        the rest solves every crossing time at once (`_jump_time`), draws
-        every jump with one `sample_jump` call and a new threshold per row,
-        and starts the next pass from the jumped states. At W > 0 each part
-        of the eigensystem is gathered right before its one use: gathering
-        all three first ran the event loop slower.
+        Each pass evolves every open row from its anchor, its state at the
+        start of the pass, to its stop: its target, or its next measurement
+        if that is due first. Rows whose norm falls below their threshold
+        jump (one `_jump_time` and one `sample_jump` call for all of them,
+        then a new threshold each); rows that reach a measurement are
+        measured and reset (one more `sample_jump` call) and draw their next
+        measurement time. Both start the next pass from their event; every
+        other row is done. At W > 0 each part of the eigensystem is gathered
+        right before its one use: gathering all three first ran slower.
         """
         anchors, t_from = self.psi[rows], self.t_cur[rows]
         self.t_cur[rows] = targets
@@ -364,36 +359,39 @@ class _ChunkEngine:
             # a slice views the whole batch where an index array would copy it
             sel = slice(None) if rows.size == self.batch else rows
             coeffs = np.matmul(self._eig_rows(vinv, sel), anchors[:, :, None])[:, :, 0]
-            spans = targets - t_from
+            due = self.next_meas[rows]
+            stops = np.minimum(targets, due)
+            spans = stops - t_from
             ends = evolve(self._eig_rows(vecs, sel), self._eig_rows(evals, sel), coeffs, spans)
             n_end = (ends.real**2 + ends.imag**2).sum(axis=1)
             crossing = n_end < self.thresholds[rows]
-            if not crossing.all():
-                self.psi[rows[~crossing]] = ends[~crossing]
-                if not crossing.any():
-                    return
-                rows, anchors, coeffs, t_from, targets, spans, n_end = (
-                    part[crossing] for part in (rows, anchors, coeffs, t_from, targets, spans, n_end))
-            n_start = (anchors.real**2 + anchors.imag**2).sum(axis=1)
-            taus, amps = _jump_time(self._eig_rows(vecs, rows), self._eig_rows(evals, rows), coeffs,
-                                    self.jumps.decay, self.thresholds[rows], spans, n_start, n_end)
-            jumped, _ = sample_jump(self.jumps, amps, self.jump_draws.take(rows))
-            anchors = jumped / np.linalg.norm(jumped, axis=1)[:, None]
-            self.thresholds[rows] = self.jump_draws.take(rows)
-            t_from = t_from + taus
-
-    # -- feedback measurements ---------------------------------------------
-
-    def _measure_rows(self, rows: np.ndarray):
-        """Measure and reset `rows`, then schedule each one's next measurement."""
-        psi = self.psi[rows]
-        reset, _ = sample_jump(self.resets, psi, self.meas_draws.take(rows))
-        # preserve the pre-measurement norm so waiting-time bookkeeping
-        # keeps tracking only the non-Hermitian (dissipative) norm loss
-        scale = np.linalg.norm(psi, axis=1) / np.linalg.norm(reset, axis=1)
-        self.psi[rows] = reset * scale[:, None]
-        self.next_meas[rows] = next_measurement(
-            self.channel, lambda: self.meas_draws.take(rows), self.next_meas[rows])
+            measured = ~crossing & (due <= targets)
+            done = ~(crossing | measured)
+            self.psi[rows[done]] = ends[done]
+            if done.all():
+                return
+            if crossing.any():
+                jumping, starts = rows[crossing], anchors[crossing]
+                n_start = (starts.real**2 + starts.imag**2).sum(axis=1)
+                taus, amps = _jump_time(
+                    self._eig_rows(vecs, jumping), self._eig_rows(evals, jumping), coeffs[crossing],
+                    self.jumps.decay, self.thresholds[jumping], spans[crossing], n_start,
+                    n_end[crossing])
+                jumped, _ = sample_jump(self.jumps, amps, self.jump_draws.take(jumping))
+                anchors[crossing] = jumped / np.linalg.norm(jumped, axis=1)[:, None]
+                self.thresholds[jumping] = self.jump_draws.take(jumping)
+                t_from[crossing] += taus
+            if measured.any():
+                meas, psi = rows[measured], ends[measured]
+                reset, _ = sample_jump(self.resets, psi, self.meas_draws.take(meas))
+                # preserve the pre-measurement norm so waiting-time bookkeeping
+                # keeps tracking only the non-Hermitian (dissipative) norm loss
+                scale = np.linalg.norm(psi, axis=1) / np.linalg.norm(reset, axis=1)
+                anchors[measured] = reset * scale[:, None]
+                t_from[measured] = due[measured]
+                self.next_meas[meas] = next_measurement(
+                    self.channel, lambda: self.meas_draws.take(meas), due[measured])
+            rows, anchors, t_from, targets = (part[~done] for part in (rows, anchors, t_from, targets))
 
     # -- main loop -----------------------------------------------------------
 
@@ -402,11 +400,11 @@ class _ChunkEngine:
 
         Each iteration evaluates every unfinished row's no-jump state at its
         next K grid points (`_no_jump_block`) and records the points before
-        the row's first event. The event's grid point goes through
-        `_step_to`: a measurement at or before a grid point is applied
-        before that point is recorded. Every row meets its events in time
-        order and draws from its own streams, so K changes a result only by
-        round-off.
+        the row's first event. The row is then advanced to the event's grid
+        point through every jump and measurement before it (`_advance_to`),
+        so a measurement at or before a grid point is applied before that
+        point is recorded. Every row meets its events in time order and
+        draws from its own streams, so K changes a result only by round-off.
         """
         grid = self.config.time_grid
         size = grid.size
@@ -447,7 +445,8 @@ class _ChunkEngine:
 
             events = rows[has_event]
             if events.size:
-                for name, values in self._step_to(events, grid[upcoming[events]]).items():
+                self._advance_to(events, grid[upcoming[events]])
+                for name, values in self._series(self.psi[events]).items():
                     out[name][events, upcoming[events]] = values
                 upcoming[events] += 1
         return out
@@ -463,15 +462,6 @@ class _ChunkEngine:
         lead = t_first - self.t_cur[rows]
         coeffs *= np.exp(-1j * self._eig_rows(evals, rows) * lead[:, None])
         return np.matmul(coeffs[:, None, :] * steps, self._eig_rows(vecs, rows).swapaxes(-1, -2))
-
-    def _step_to(self, rows: np.ndarray, targets: np.ndarray) -> dict[str, np.ndarray]:
-        """Step rows to their grid points `targets` through every event, and their series there."""
-        while (pending := self.next_meas[rows] <= targets).any():
-            measured = rows[pending]
-            self._advance_to(measured, self.next_meas[measured])
-            self._measure_rows(measured)
-        self._advance_to(rows, targets)
-        return self._series(self.psi[rows])
 
     def _series(self, amps: np.ndarray) -> dict[str, np.ndarray]:
         """The recorded series of states `amps` (..., dim), over leading axes."""
@@ -571,6 +561,9 @@ def _jump_operators(config: SimulationConfig, basis: FockBasis) -> list[Monomial
 
 def run_trajectory(config: SimulationConfig, index: int) -> ModelSeries:
     """Run one trajectory; deterministic in (master_seed, index)."""
+    if not isinstance(index, numbers.Integral) or index < 0:
+        # SeedSequence takes only non-negative integers, and only once running
+        raise ValueError("index must be an integer >= 0")
     series = _ChunkEngine(config, [index], _sector(config)).run()
     del series["coherence_envelope_site1"]  # 2 |coherence_site1| for one trajectory
     return ModelSeries(time_grid=config.time_grid,
@@ -662,13 +655,17 @@ def _lindbladian(ham: np.ndarray, jumps: list[Monomial]) -> "scipy.sparse.csr_ma
 def solve_master_dense(config: SimulationConfig) -> ModelSeries:
     """Integrate the Lindblad master equation for one disorder realization.
 
-    Intended as a small-system oracle (the density matrix is dense). The
-    disorder is drawn once from the master seed, so quantitative comparison
-    against a trajectory ensemble -- which redraws disorder per trajectory --
-    is meaningful at zero disorder. Random feedback enters through the
+    The reference the engine is checked against. Its generator is sparse
+    and rho lives in the engine's sector, so its size is bounded by the
+    sector limit `lattice.MAX_DIMENSION`, not by the full space (an L = 8
+    ket2 chain has 45 states). The disorder is
+    drawn once from the master seed, so quantitative comparison against a
+    trajectory ensemble -- which redraws disorder per trajectory -- is
+    meaningful at zero disorder. Random feedback enters through the
     dissipator of measurements at Poisson times; engineered dissipation and
     background noise through their standard jump operators. Periodic
-    feedback has no master equation of this form, so it raises ValueError.
+    feedback at a positive rate has no master equation of this form, so it
+    raises ValueError; at rate 0 it never measures, as with no channel.
 
     The density matrix lives in the engine's excitation-number sector
     (`_sector`). This is exact: H conserves N and every jump and reset
@@ -687,7 +684,8 @@ def solve_master_dense(config: SimulationConfig) -> ModelSeries:
     of rho, built once; the integrator only multiplies by it, on
     `config.time_grid` with rtol 1e-9 and atol 1e-11.
     """
-    if config.channel is not None and config.channel.kind == "periodic_feedback":
+    if config.channel is not None and config.channel.kind == "periodic_feedback" \
+            and config.channel.rate > 0:
         raise ValueError("the master equation models random (Poisson) feedback, not periodic")
     basis = _sector(config)
     dim = basis.dimension

@@ -18,7 +18,6 @@ from lrusim.analytics import (
     fb_leakage_rate_low,
     fb_qubit_times,
     liouvillian_qubit_gap,
-    qubit_liouvillian_matrix,
     two_site_populations,
 )
 from lrusim.lattice import LatticeSpec, build_effective_propagation
@@ -323,6 +322,21 @@ class TestDissipationQubitTimes:
         # one detuning per site 2..L-1, none at L = 2
         with pytest.raises(ValueError):
             diss_qubit_times(1.0, 1.0, 2.0, length=length, intermediate_detunings=intermediate)
+
+
+def qubit_liouvillian_matrix(detuning: float, drive: float, rate_st: float) -> np.ndarray:
+    """Vectorized 4x4 Liouvillian of the measured driven qubit.
+
+    Basis (rho_00, rho_01, rho_10, rho_11) for H = detuning*sigma_z +
+    drive*sigma_x with standard projective measurements at rate_st.
+    """
+    d, b, g = detuning, drive, rate_st
+    return np.array([
+        [0, 1j * b, -1j * b, 0],
+        [1j * b, -g - 2j * d, 0, -1j * b],
+        [-1j * b, 0, -g + 2j * d, 1j * b],
+        [0, -1j * b, 1j * b, 0],
+    ], dtype=complex)
 
 
 class TestLiouvillianGap:

@@ -163,6 +163,21 @@ class TestExponentialFit:
         fit = fit_exponential(np.linspace(0, 1, 5), np.exp(-np.linspace(0, 1, 5)))
         assert not fit.converged
 
+    @pytest.mark.parametrize("times, values", [
+        pytest.param(np.linspace(0, 1, 5), np.exp(-np.linspace(0, 1, 5)), id="too-few-points"),
+        pytest.param(np.linspace(0, 5, 50), np.full(50, -1.0), id="nonpositive"),
+        # the log-space slope is positive; its rms used to be that of the data
+        pytest.param(np.linspace(0, 5, 50), np.exp(np.linspace(0, 5, 50)), id="growing"),
+        # below the log floor, so curve_fit runs, and it refuses the NaN sample
+        pytest.param(np.linspace(0, 5, 50), np.where(np.arange(50) == 3, np.nan, 1e-5),
+                     id="curve-fit-fails"),
+    ])
+    def test_every_nonconverged_branch_returns_nan(self, times, values):
+        fit = fit_exponential(times, values)
+        assert not fit.converged
+        for value in (fit.decay_time, fit.amplitude, fit.rms_residual):
+            assert math.isnan(value)
+
     def test_nonlinear_fallback_below_floor(self):
         t = np.linspace(0, 40, 400)
         y = 1e-5 * np.exp(-t / 4.0)  # dips below the log floor inside the window

@@ -145,11 +145,21 @@ HOT = short_config("random_feedback", "plus", lattice=LatticeSpec(3, 30.0, 10.0,
                    noise=NoiseModel(0.05, 0.05, 3e-4))
 
 
-def jumpy_config(disorder):
+def jumpy_config(disorder, kind="dissipation", rate=4.0):
     """Strong noise and dissipation against a grid step of 1, so that rows
     jump several times between two grid points."""
-    return chain_config("dissipation", 4.0, 12, 4.0, 0.5, 2, NoiseModel(1.0, 1.0),
+    return chain_config(kind, rate, 12, 4.0, 0.5, 2, NoiseModel(1.0, 1.0),
                         coding="plus", length=2, disorder=disorder)
+
+
+#: Jumpy chains, and the same chains with about ten feedback measurements
+#: per grid step among their jumps.
+JUMPY = [
+    pytest.param(jumpy_config(0.0), id="W0"),
+    pytest.param(jumpy_config(2.0), id="W2"),
+    pytest.param(jumpy_config(0.0, "random_feedback", 10.0), id="random_feedback-W0"),
+    pytest.param(jumpy_config(2.0, "random_feedback", 10.0), id="random_feedback-W2"),
+]
 
 
 class TestDeterminism:
@@ -196,39 +206,47 @@ class TestDeterminism:
             assert np.max(np.abs(mean - getattr(ens, name))) < 1e-12, name
             assert np.max(np.abs(se - getattr(ens, name + "_se"))) < 1e-12, name
 
-    @pytest.mark.parametrize("disorder", [0.0, 2.0], ids=["W0", "W2"])
-    def test_chunk_rows_equal_single_trajectories(self, monkeypatch, disorder):
-        config = jumpy_config(disorder)
-        passes = []  # sample_jump calls of each _advance_to call
+    @pytest.mark.parametrize("config", JUMPY)
+    def test_chunk_rows_equal_single_trajectories(self, monkeypatch, config):
+        draws = []  # the kind of each sample_jump call of each _advance_to call
+        running = []  # the draws of the _advance_to call that runs, if one does
         advance_to = _ChunkEngine._advance_to
         sample_jump = lrusim.trajectory.sample_jump
 
         def counting_advance_to(self, *args):
-            passes.append(0)
-            return advance_to(self, *args)
+            running.append([])
+            try:
+                return advance_to(self, *args)
+            finally:
+                draws.append(running.pop())
 
-        def counting_sample_jump(*args):
-            passes[-1] += 1
-            return sample_jump(*args)
+        def recording_sample_jump(table, *args):
+            assert running, "a row drew a jump or a measurement outside _advance_to"
+            running[-1].append("measure" if table is engine.resets else "jump")
+            return sample_jump(table, *args)
 
         monkeypatch.setattr(_ChunkEngine, "_advance_to", counting_advance_to)
-        monkeypatch.setattr(lrusim.trajectory, "sample_jump", counting_sample_jump)
-        chunk = _ChunkEngine(config, range(config.n_trajectories),
-                             lrusim.trajectory._sector(config)).run()
-        # a second pass: some row jumped again before the event it was stepped to
-        assert max(passes) > 1
+        monkeypatch.setattr(lrusim.trajectory, "sample_jump", recording_sample_jump)
+        engine = _ChunkEngine(config, range(config.n_trajectories),
+                              lrusim.trajectory._sector(config))
+        chunk = engine.run()
+        # a second pass: some row met a second event before the grid point it was stepped to
+        assert max(map(len, draws)) > 1
+        if config.channel.is_feedback:
+            # one call took rows through both kinds of event
+            assert any({"jump", "measure"} <= set(kinds) for kinds in draws)
         for index in range(config.n_trajectories):
             single = run_trajectory(config, index)
             for name, value in vars(single).items():
                 if name != "time_grid":
                     assert np.max(np.abs(chunk[name][index] - value)) <= 1e-12, (index, name)
 
-    @pytest.mark.parametrize("disorder", [0.0, 2.0], ids=["W0", "W2"])
-    def test_one_evolution_per_pass(self, monkeypatch, disorder):
+    @pytest.mark.parametrize("config", JUMPY)
+    def test_one_evolution_per_pass(self, monkeypatch, config):
         # each pass of `_advance_to` evolves its open rows once, and a pass
-        # follows the first one only after a jump draw
-        config = jumpy_config(disorder)
-        calls = {"advance": 0, "jumps": 0, "evolve": 0}
+        # follows the first one only after a jump or measurement draw
+        calls = {"advance": 0, "evolve": 0}
+        drawing = set()  # the evolve count at each sample_jump call: one per drawing pass
         shapes = []  # eigenvector shape of every evolve call
         solving = []  # set while a `_jump_time` call runs
         advance_to, jump_time = _ChunkEngine._advance_to, lrusim.trajectory._jump_time
@@ -250,20 +268,18 @@ class TestDeterminism:
             calls["evolve"] += not solving
             return evolve_(vecs, *args)
 
-        def counting_sample_jump(table, *args):
-            calls["jumps"] += table is chunk.jumps
-            return sample_jump(table, *args)
+        def counting_sample_jump(*args):
+            drawing.add(calls["evolve"])
+            return sample_jump(*args)
 
         monkeypatch.setattr(_ChunkEngine, "_advance_to", counting_advance_to)
         monkeypatch.setattr(lrusim.trajectory, "_jump_time", flagged_jump_time)
         monkeypatch.setattr(lrusim.trajectory, "evolve", counting_evolve)
         monkeypatch.setattr(lrusim.trajectory, "sample_jump", counting_sample_jump)
-        chunk = _ChunkEngine(config, range(config.n_trajectories),
-                             lrusim.trajectory._sector(config))
-        chunk.run()
-        assert calls["jumps"] > 0
-        assert calls["evolve"] == calls["advance"] + calls["jumps"]
-        if disorder == 0:
+        _ChunkEngine(config, range(config.n_trajectories), lrusim.trajectory._sector(config)).run()
+        assert drawing
+        assert calls["evolve"] == calls["advance"] + len(drawing)
+        if config.lattice.disorder == 0:
             # the chunk's one eigensystem, never a copy per row
             assert {len(shape) for shape in shapes} == {2}
 
@@ -471,6 +487,15 @@ class TestOracleSector:
         for name, value in vars(sector).items():
             assert np.max(np.abs(value - getattr(full, name))) < 1e-8, name
 
+    def test_periodic_feedback_at_rate_zero_is_no_channel(self):
+        # it never measures, so a sweep of the rate from 0 starts at the bare chain
+        config = chain_config("periodic_feedback", 0.0, 1, 2.0, 0.05, 4, NoiseModel(0.1, 0.1),
+                              seed=5, coding="plus", disorder=2.0)
+        periodic = solve_master_dense(config)
+        bare = solve_master_dense(replace(config, channel=None))
+        for name, value in vars(periodic).items():
+            assert np.array_equal(value, getattr(bare, name)), name
+
     @pytest.mark.parametrize("n_max", [1, 2, None])
     def test_reset_kraus_operators_are_complete(self, n_max):
         # resetting the top level empties the chain into the vacuum, which no
@@ -578,6 +603,13 @@ class TestConfigValidation:
         # each used to pass construction and fail only inside run_ensemble or FockBasis
         with pytest.raises(ValueError, match=match):
             make()
+
+    @pytest.mark.parametrize("index", [-1, 2.5], ids=["index--1", "index-2.5"])
+    def test_trajectory_index_rejected_at_the_call(self, index):
+        # SeedSequence refused -1, and 2.5 raised TypeError inside numpy
+        config = chain_config("dissipation", 1.0, 1, 1.0, 0.1, 1, NoiseModel())
+        with pytest.raises(ValueError, match="index must be an integer >= 0"):
+            run_trajectory(config, index)
 
 
 class TestTemperature:
