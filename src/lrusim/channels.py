@@ -1,13 +1,11 @@
 """Reset channels, background noise operators and thermal initial states.
 
-The reset acts on the last site of the chain: either a projective feedback
-measurement that maps any outcome |n> to |0>, or an engineered dissipation
-jump operator sqrt(Gamma) a_L. The measurement's Kraus operators |0><n|_L
-are built in one place, `reset_kraus`, and read both by the engine's
-measurement and by the oracle's measurement dissipator. Feedback
-measurements follow one schedule (`next_measurement`): periodic with a
-uniformly random first time, or at the times of a Poisson process, whose
-gaps are exponential.
+The reset acts on the last site of the chain. Engineered dissipation is
+the jump sqrt(Gamma) a_L, and random feedback, measurements at Poisson
+times that map any outcome |n> to |0>, is three jumps
+(`channel_jump_operators`). Periodic feedback measures and resets on a
+schedule (`next_measurement`). The Kraus operators |0><n|_L are built in
+one place, `reset_kraus`, read by both kinds of feedback.
 A feedback measurement and a quantum jump are one step, `sample_jump`:
 Born-sample an operator of a `jump_table` and apply it.
 Background noise enters as per-site relaxation and dephasing jump
@@ -52,10 +50,6 @@ class ResetChannel:
         if not 0 <= self.rate < math.inf:
             raise ValueError("rate must be non-negative and finite")
 
-    @property
-    def is_feedback(self) -> bool:
-        return self.kind in ("periodic_feedback", "random_feedback")
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -78,27 +72,21 @@ class NoiseModel:
 
 def next_measurement(channel: ResetChannel | None, draw,
                      after: float | np.ndarray | None = None) -> float | np.ndarray:
-    """Times of the feedback measurements that follow those at `after`.
+    """Times of the periodic feedback measurements that follow those at `after`.
 
     `draw()` returns uniforms on [0, 1), and the times have its shape:
     `rng.random` of one Generator gives one time, the engine's per-row
     buffers one time per row, with `after` holding each row's last one.
-    With `after` None these are the first measurements. Periodic: the first
-    time is uniform on [0, 1/rate), period * u, because the leakage creation
-    time is unknown, and each next one comes 1/rate later without a draw.
-    Random: the times of a Poisson process of the given rate, the process
-    the measurement dissipator of the master equation models; each gap is
-    exponential, -log(1 - u)/rate for one uniform u.
-    A channel that does not measure (None, dissipation, or rate 0) gives inf
-    and draws nothing.
+    With `after` None these are the first measurements: the first time is
+    uniform on [0, 1/rate), period * u, because the leakage creation time
+    is unknown, and each next one comes 1/rate later without a draw.
+    Any other channel, random feedback (three jumps) included, or rate 0
+    gives inf and draws nothing.
     """
-    if channel is None or not channel.is_feedback or channel.rate == 0:
+    if channel is None or channel.kind != "periodic_feedback" or channel.rate == 0:
         return math.inf
-    if channel.kind == "periodic_feedback":
-        period = 1.0 / channel.rate
-        return period * draw() if after is None else after + period
-    gap = -np.log1p(-draw()) / channel.rate
-    return gap if after is None else after + gap
+    period = 1.0 / channel.rate
+    return period * draw() if after is None else after + period
 
 
 @functools.lru_cache(maxsize=16)
@@ -200,12 +188,26 @@ def noise_jump_operators(model: NoiseModel, basis: FockBasis) -> list[Monomial]:
     return ops
 
 
-def dissipation_jump_operators(channel: ResetChannel | None,
-                               basis: FockBasis) -> list[Monomial]:
-    """The engineered-dissipation jump sqrt(Gamma) a_L, if `channel` is one with Gamma > 0."""
-    if channel is None or channel.kind != "dissipation" or channel.rate == 0:
+def channel_jump_operators(channel: ResetChannel | None,
+                           basis: FockBasis) -> list[Monomial]:
+    """The jumps a reset channel adds at Gamma > 0, over `basis`.
+
+    Dissipation: sqrt(Gamma) a_L. Random feedback: sqrt(Gamma) K_1 and
+    sqrt(Gamma) K_2 of `reset_kraus`, then sqrt(Gamma) Q, Q = 1 - |0><0|_L.
+    K_1^dag K_1 + K_2^dag K_2 = Q, so their dissipator is Gamma (sum_n K_n
+    rho K_n^dag - rho), that of measurements at Poisson times (Wiseman and
+    Milburn, "Quantum Measurement and Control", CUP 2010, ch. 4). Periodic
+    feedback gives none: it follows `next_measurement`.
+    """
+    if channel is None or channel.kind == "periodic_feedback" or channel.rate == 0:
         return []
-    return [_with_rate(site_monomial(basis, basis.length, "annihilation"), channel.rate)]
+    if channel.kind == "dissipation":
+        ops = [site_monomial(basis, basis.length, "annihilation")]
+    else:
+        _, *kraus = reset_kraus(basis)
+        occupied = np.flatnonzero(basis.occupations[:, -1] >= 1)
+        ops = [*kraus, Monomial(occupied, occupied, np.ones(occupied.size))]
+    return [_with_rate(op, channel.rate) for op in ops]
 
 
 def _with_rate(op: Monomial, rate: float) -> Monomial:

@@ -157,8 +157,8 @@ class FockBasis:
 
     Rows keep the order of the full 3**L Kronecker space, site 1 most
     significant; with max_excitations = 2L, the default, the table is the
-    full space itself. The Hamiltonian conserves N and every jump
-    and reset lowers it, so all of them act inside one such sector.
+    full space itself. The Hamiltonian conserves N and no jump
+    or reset raises it, so all of them act inside one such sector.
     """
 
     def __init__(self, length: int, max_excitations: int | None = None):

@@ -109,7 +109,8 @@ def fit_exponential(times, values, t_start: float = 0.0,
     Fits in log space (linear least squares) when every sample in the window
     exceeds LOG_FIT_FLOOR, otherwise falls back to nonlinear least squares
     (`scipy.optimize.curve_fit`, imported on first use of the fallback).
-    Non-positive or growing data, a degenerate window or a failed nonlinear
+    Non-positive or growing data (a least-squares slope >= 0, of log y or
+    in the fallback of y, on t), a degenerate window or a failed nonlinear
     fit yield converged = False, with NaN decay time, amplitude and residual.
     """
     times = np.asarray(times, dtype=float)
@@ -133,7 +134,7 @@ def fit_exponential(times, values, t_start: float = 0.0,
         model = amp * np.exp(-t_win / tau)
         return FitResult(tau, amp, window, _rms(y_win, model), True)
 
-    if np.all(y_win <= 0):
+    if np.all(y_win <= 0) or (t_win - t_win.mean()) @ y_win >= 0:
         return FitResult(math.nan, math.nan, window, math.nan, False)
     from scipy.optimize import curve_fit
 

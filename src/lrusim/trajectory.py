@@ -13,19 +13,21 @@ per-trajectory draws, bit for bit.
 
 The engine works in the excitation-number sector N <= N_max of the chain
 (`lattice.FockBasis`). The no-jump Hamiltonian commutes with the total
-boson number N, and every jump and every reset lowers it, so a trajectory
+boson number N, and no jump and no reset raises it, so a trajectory
 never leaves the N <= N_0 subspace of its initial state. N_max is the
 largest N an initial state of the configuration can have: the top level in
 the coding state's support at zero temperature, the full space otherwise.
 
-Every jump operator -- relaxation sqrt(gamma) a_l, dephasing sqrt(2 kappa)
-n_l, dissipation sqrt(Gamma) a_L, and the resets |0><n|_L -- maps each Fock
-state to at most one Fock state, so it is kept as a `lattice.Monomial` of
-(src, dst, amp) entries and every L^dag L is diagonal: the no-jump
-Hamiltonian is H - (i/2) diag(d), d the decay vector of their
-`channels.jump_table`. The reset channel acts on the last site L.
+Every jump operator of `_jump_operators` -- relaxation sqrt(gamma) a_l,
+dephasing sqrt(2 kappa) n_l, dissipation sqrt(Gamma) a_L, and random
+feedback's sqrt(Gamma) K_1, sqrt(Gamma) K_2 and sqrt(Gamma) Q -- and each
+periodic reset |0><n|_L maps each Fock state to at most one Fock state, so
+it is kept as a `lattice.Monomial` of (src, dst, amp) entries and every
+L^dag L is diagonal: the no-jump Hamiltonian is H - (i/2) diag(d), d the
+decay vector of their `channels.jump_table`. The reset channel acts on the
+last site L.
 
-The integrator is event-driven: between feedback measurements and
+The integrator is event-driven: between periodic measurements and
 observable grid points the state advances with the cached exact
 eigendecomposition of the (generally non-Hermitian) no-jump Hamiltonian.
 Stretches of the grid without an event are evaluated a block at a time:
@@ -33,7 +35,7 @@ every unfinished trajectory's no-jump state at its next K grid points is
 one batched matmul of its eigenbasis coefficients, phased by factors
 exp(-i lambda k observable_dt) computed once per chunk, and all of those
 points are recorded at once. A block ends a trajectory's stretch at its
-first event: a feedback measurement due at or before a grid point, or a
+first event: a periodic measurement due at or before a grid point, or a
 no-jump norm below its jump threshold (the norm never increases between
 jumps, so the first such grid point follows the jump). From there to
 that grid point the row goes through `_ChunkEngine._advance_to`, the one
@@ -53,8 +55,8 @@ generation of events, so every row meets its jumps and measurements in
 time order.
 
 Each trajectory draws from its own streams, keyed by (master_seed, index,
-purpose): 0 its disorder, 1 its thermal initial state, 2 its measurement
-times and measurement outcomes, 3 its jump thresholds and jump outcomes.
+purpose): 0 its disorder, 1 its thermal initial state, 2 its periodic
+measurement times and outcomes, 3 its jump thresholds and jump outcomes.
 Streams 2 and 3 are drawn in bulk into per-row buffers read through
 cursors (`_Draws`), and `channels.next_measurement` gives the measurement
 times of many rows at once. A row reads its streams' numbers in the order
@@ -62,14 +64,11 @@ one draw at a time would: the buffer length changes no result, and a
 row's draws do not depend on its chunk.
 
 The master-equation oracle integrates its density matrix in the same
-sector, with the engine's Hamiltonian, jump operators, reset Kraus
-operators (`channels.reset_kraus`) and observables, as one sparse
-Lindbladian. Feedback measurement is one unravelling of its measurement
-dissipator: the oracle averages Gamma (sum_n K_n rho K_n^dag - rho), the
-engine Born-samples K_n psi, so the engine-oracle agreement checks the
-sampling, the norm bookkeeping and the schedule. Its initial density is
-its own, built from the basis occupations, so that it remains an
-independent reference for the engine's initial-state sampling.
+sector, with the engine's Hamiltonian, its one jump list (`_jump_operators`)
+and its observables, as one sparse Lindbladian, so the engine-oracle
+agreement checks the sampling and the norm bookkeeping. Its initial
+density is its own, built from the basis occupations, so that it remains
+an independent reference for the engine's initial-state sampling.
 
 scipy is imported on first use, not with this module: `_lindbladian`
 imports scipy.sparse, and `solve_ivp` is resolved on first access through
@@ -90,8 +89,7 @@ import numpy as np
 from .channels import (
     NoiseModel,
     ResetChannel,
-    _with_rate,
-    dissipation_jump_operators,
+    channel_jump_operators,
     jump_table,
     local_thermal_weights,
     next_measurement,
@@ -203,8 +201,12 @@ class EnsembleObservables:
     `coherence_site1` is the plain complex ensemble mean; with per-trajectory
     disorder its phase spread hides the physical decoherence, so
     `coherence_envelope_site1` additionally averages the per-trajectory
-    envelope 2|<0|rho_1|1>|, which is what a per-realization experiment
-    records and what T2 fits should use.
+    envelope 2|<0|rho_1|1>|, which T2 fits should use. That average is not
+    linear in rho. From `plus` at T = 0 every jump leaves site 1 without
+    coherence, so the rows of one realization that have not jumped share
+    one state, and the average is that of what a per-realization experiment
+    records. Periodic measurements at per-row times split those rows, and
+    there the envelope can sit above it.
     """
 
     time_grid: np.ndarray
@@ -291,7 +293,7 @@ class _ChunkEngine:
         self.has_jumps = len(self.jumps.dst) > 0
         self._build_states_and_hamiltonians()
         rows = np.arange(self.batch)
-        measuring = self.channel is not None and self.channel.is_feedback
+        measuring = self.channel is not None and self.channel.kind == "periodic_feedback"
         self.meas_draws = _Draws(config.master_seed, self.indices, 2) if measuring else None
         self.next_meas = np.full(self.batch, next_measurement(
             self.channel, lambda: self.meas_draws.take(rows)))
@@ -554,9 +556,9 @@ def _sector(config: SimulationConfig) -> FockBasis:
 
 
 def _jump_operators(config: SimulationConfig, basis: FockBasis) -> list[Monomial]:
-    """The background-noise and dissipation jumps of `config` over `basis`."""
+    """The background-noise and reset-channel jumps of `config` over `basis`."""
     return (noise_jump_operators(config.noise, basis)
-            + dissipation_jump_operators(config.channel, basis))
+            + channel_jump_operators(config.channel, basis))
 
 
 def run_trajectory(config: SimulationConfig, index: int) -> ModelSeries:
@@ -661,25 +663,23 @@ def solve_master_dense(config: SimulationConfig) -> ModelSeries:
     ket2 chain has 45 states). The disorder is
     drawn once from the master seed, so quantitative comparison against a
     trajectory ensemble -- which redraws disorder per trajectory -- is
-    meaningful at zero disorder. Random feedback enters through the
-    dissipator of measurements at Poisson times; engineered dissipation and
-    background noise through their standard jump operators. Periodic
-    feedback at a positive rate has no master equation of this form, so it
-    raises ValueError; at rate 0 it never measures, as with no channel.
+    meaningful at zero disorder. Background noise, engineered dissipation
+    and random feedback enter through the engine's jumps (`_jump_operators`).
+    Periodic feedback at a positive rate has no master equation of this
+    form, so it raises ValueError; at rate 0 it never measures, as with no
+    channel.
 
     The density matrix lives in the engine's excitation-number sector
-    (`_sector`). This is exact: H conserves N and every jump and reset
-    lowers it, so rho never leaves N <= N_max; at T > 0 the sector is the
-    full space. The Hamiltonian, jump operators (`_jump_operators`), reset
-    Kraus operators |0><n|_L (`channels.reset_kraus`) and observables are
-    the engine's, built in that basis, so
-    agreement with the engine checks its Born sampling, norm bookkeeping
-    and measurement schedule, not the operators themselves;
-    `reset_kraus` is checked against a dense lookup in the tests. rho0 is
-    built here from the basis occupations, independently of the engine's
+    (`_sector`). This is exact: H conserves N and no jump or reset
+    raises it, so rho never leaves N <= N_max; at T > 0 the sector is the
+    full space. The Hamiltonian, jump operators and observables are the
+    engine's, built in that basis, so agreement with the engine checks its
+    Born sampling and norm bookkeeping, not the operators themselves; the
+    tests check those against dense references. rho0 is built here from
+    the basis occupations, independently of the engine's
     `sample_thermal_initial`, so that the oracle stays a reference for it.
 
-    Every jump and Kraus operator is a `Monomial`, so the whole right-hand
+    Every jump operator is a `Monomial`, so the whole right-hand
     side is one sparse Lindbladian (`_lindbladian`) over the dim^2 entries
     of rho, built once; the integrator only multiplies by it, on
     `config.time_grid` with rtol 1e-9 and atol 1e-11.
@@ -692,13 +692,7 @@ def solve_master_dense(config: SimulationConfig) -> ModelSeries:
     grid = config.time_grid
     real = realize_disorder(config.lattice, _disorder_seed(config.master_seed, 0))
     ham = build_bose_hubbard(real, basis)
-
-    jumps = _jump_operators(config, basis)
-    if config.channel is not None and config.channel.is_feedback and config.channel.rate > 0:
-        # measurements at rate Gamma: Gamma (sum_n K_n rho K_n^dag - rho), and
-        # the Kraus set is complete, so these are jumps sqrt(Gamma) K_n
-        jumps += [_with_rate(k, config.channel.rate) for k in reset_kraus(basis)]
-    lindbladian = _lindbladian(ham, jumps)
+    lindbladian = _lindbladian(ham, _jump_operators(config, basis))
     rho0 = _initial_density(config, real, basis)
 
     def rhs(_t, flat):

@@ -9,7 +9,7 @@ eigendecomposition.
 import numpy as np
 import pytest
 
-from lrusim.channels import ResetChannel, dissipation_jump_operators, jump_table
+from lrusim.channels import ResetChannel, channel_jump_operators, jump_table
 from lrusim.lattice import FockBasis, build_bose_hubbard
 
 
@@ -66,7 +66,7 @@ def basis_state(occupations) -> np.ndarray:
 
 def dissipative_no_jump(real, basis, rate: float) -> np.ndarray:
     """H - (i/2) diag(d) under dissipation sqrt(rate) a_L, the rule the engine runs."""
-    jumps = dissipation_jump_operators(ResetChannel("dissipation", rate), basis)
+    jumps = channel_jump_operators(ResetChannel("dissipation", rate), basis)
     decay = jump_table(jumps, basis.dimension).decay
     return build_bose_hubbard(real, basis) - 0.5j * np.diag(decay)
 

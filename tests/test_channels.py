@@ -8,7 +8,7 @@ from lrusim.channels import (
     PROJECTION_EPS,
     NoiseModel,
     ResetChannel,
-    dissipation_jump_operators,
+    channel_jump_operators,
     jump_table,
     local_thermal_weights,
     next_measurement,
@@ -26,7 +26,7 @@ from lrusim.lattice import (
 )
 from lrusim.trajectory import SimulationConfig, run_ensemble, run_trajectory
 
-from conftest import basis_state, born_oracle, densify, reset_kraus_oracle
+from conftest import basis_state, born_oracle, dense_lindblad_rhs, densify, reset_kraus_oracle
 from test_trajectory import Z_BOUND, max_z
 
 
@@ -69,33 +69,36 @@ class TestMeasurementTimes:
             assert next_measurement(chan, rng.random) == math.inf
             assert measurement_schedule(chan, 10.0, rng.random).size == 0
 
-    def test_random_event_count_statistics(self, rng):
-        # rate * t_max = 10: the mean count over many draws is 10 +- 0.3
-        chan = ResetChannel("random_feedback", rate=1.0)
-        n_draws = 10_000
-        counts = np.empty(n_draws)
-        for k in range(n_draws):
-            counts[k] = measurement_schedule(chan, 10.0, rng.random).size
-        assert abs(counts.mean() - 10.0) < 0.3
-
-    def test_random_gaps_are_exponential(self, rng):
-        # the gaps of a Poisson process: P(gap > t) = exp(-rate t), for the
-        # first gap and for one after a measurement
-        rate, n_draws = 2.0, 20_000
-        chan = ResetChannel("random_feedback", rate=rate)
-        # one time per uniform of an array draw, as the engine draws them per row
-        firsts = next_measurement(chan, lambda: rng.random(n_draws))
-        laters = next_measurement(chan, lambda: rng.random(n_draws), np.full(n_draws, 5.0)) - 5.0
-        for gaps in (firsts, laters):
-            assert np.all(gaps >= 0)
-            for t in (0.05, 0.2, 0.5, 1.0, 2.0):
-                expected = math.exp(-rate * t)
-                sigma = math.sqrt(expected * (1 - expected) / n_draws)
-                assert abs(np.mean(gaps > t) - expected) < 4 * sigma, t
-
     def test_dissipation_has_no_times(self, rng):
         assert next_measurement(ResetChannel("dissipation", rate=1.0), rng.random) == math.inf
         assert next_measurement(None, rng.random) == math.inf
+        # random feedback measures through its jumps, not on a schedule
+        assert next_measurement(ResetChannel("random_feedback", rate=1.0), rng.random) == math.inf
+
+
+class TestChannelJumps:
+    def test_random_feedback_is_the_measurement_dissipator(self, rng):
+        # the L = 3 full space, the space of a T > 0 chain
+        rate, basis = 2.0, FockBasis(3)
+        ops = channel_jump_operators(ResetChannel("random_feedback", rate), basis)
+        assert len(ops) == 3
+        occupied = basis.occupations[:, -1] >= 1
+        decay = jump_table(ops, basis.dimension).decay
+        np.testing.assert_allclose(decay, np.where(occupied, 2.0 * rate, 0.0), rtol=0, atol=1e-12)
+
+        a = rng.normal(size=(27, 27)) + 1j * rng.normal(size=(27, 27))
+        rho = (a + a.conj().T) / np.linalg.norm(a + a.conj().T)
+        dense = [densify(op, basis.dimension) for op in ops]
+        dissipator = dense_lindblad_rhs(np.zeros((27, 27)), dense, rho)
+        measured = rate * (sum(k @ rho @ k.T for k in reset_kraus_oracle(basis.occupations)) - rho)
+        assert np.max(np.abs(dissipator - measured)) < 1e-12
+
+    @pytest.mark.parametrize("channel", [None, ResetChannel("periodic_feedback", 2.0),
+                                         ResetChannel("random_feedback", 0.0),
+                                         ResetChannel("dissipation", 0.0)],
+                             ids=["none", "periodic", "random-rate0", "dissipation-rate0"])
+    def test_no_jumps_without_a_rate_or_for_a_schedule(self, channel):
+        assert channel_jump_operators(channel, FockBasis(2)) == []
 
 
 def measure(amplitudes, basis, draws):
@@ -107,15 +110,19 @@ def operators(kind, basis):
     """The operators of one kind of table the engine draws from."""
     if kind == "reset":
         return list(reset_kraus(basis))
+    if kind == "feedback":
+        return channel_jump_operators(ResetChannel("random_feedback", 1.5), basis)
     return (noise_jump_operators(NoiseModel(relaxation_rate=0.3, dephasing_rate=0.2), basis)
-            + dissipation_jump_operators(ResetChannel("dissipation", 1.5), basis))
+            + channel_jump_operators(ResetChannel("dissipation", 1.5), basis))
 
 
-#: The reset Kraus operators and the noise-plus-dissipation jumps, over a
-#: full space and a sector; K_2 of the reset has no entry in FockBasis(3, 1).
+#: The reset Kraus operators, the noise-plus-dissipation jumps and random
+#: feedback's jumps, over a full space and a sector; K_2 of the reset has no
+#: entry in FockBasis(3, 1).
 TABLES = [pytest.param(kind, length, n_max, id=f"{kind}-L{length}-N{n_max}")
           for kind, length, n_max in (("reset", 2, None), ("reset", 3, 1),
-                                      ("jumps", 2, None), ("jumps", 3, 2))]
+                                      ("jumps", 2, None), ("jumps", 3, 2),
+                                      ("feedback", 3, None))]
 
 
 def random_state(rng, dimension):
@@ -381,8 +388,9 @@ class TestJumpStep:
 
     def test_random_feedback_survival_is_exponential(self):
         # one site in |2>: the first measurement empties it, so the leakage
-        # survives until the first time of a Poisson process, with exp(-rate t).
-        # rate * dt = 0.5 here: measurement times must not depend on dt
+        # survives until the first time of a Poisson process, with exp(-rate t):
+        # here the first K_2 jump, at rate Gamma (a Q jump keeps the |2>).
+        # rate * dt = 0.5 here: jump times must not depend on dt
         rate = 10.0
         config = single_site_config("ket2", t_max=0.5, dt=0.05, n_trajectories=2000,
                                     channel=ResetChannel("random_feedback", rate))

@@ -171,6 +171,11 @@ class TestExponentialFit:
         # below the log floor, so curve_fit runs, and it refuses the NaN sample
         pytest.param(np.linspace(0, 5, 50), np.where(np.arange(50) == 3, np.nan, 1e-5),
                      id="curve-fit-fails"),
+        # below the log floor as well, and growing: curve_fit used to call them
+        # converged, with decay times of 9.6e7 and 3.4e6
+        pytest.param(np.linspace(0, 5, 50), np.where(np.linspace(0, 5, 50) < 2.5, 0.0, 1.0),
+                     id="step"),
+        pytest.param(np.linspace(0, 5, 50), np.array([0.0] * 49 + [1.0]), id="last-point"),
     ])
     def test_every_nonconverged_branch_returns_nan(self, times, values):
         fit = fit_exponential(times, values)

@@ -25,6 +25,7 @@ package may call no function that numpy 2.0 added.
 """
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -111,13 +112,17 @@ def test_ensemble_draws_jumps_and_measurements_with_sample_jump(monkeypatch):
     monkeypatch.setattr(lrusim.trajectory, "sample_jump", recording_sample_jump)
     config = lrusim.SimulationConfig(
         lattice=lrusim.LatticeSpec(2, 0.0, 10.0, 1.0),
-        channel=lrusim.ResetChannel("random_feedback", 1.0),
+        channel=lrusim.ResetChannel("periodic_feedback", 1.0),
         t_max=4.0, dt=0.05, n_trajectories=8, noise=lrusim.NoiseModel(relaxation_rate=0.5),
     )
     lrusim.run_ensemble(config)
     # the three reset Kraus operators for measurements, and the two
     # relaxation jumps sqrt(gamma) a_l of an L = 2 chain
     assert set(operator_counts) == {3, 2}
+    # random feedback's K_1, K_2 and Q join the relaxation jumps in one table
+    operator_counts.clear()
+    lrusim.run_ensemble(replace(config, channel=lrusim.ResetChannel("random_feedback", 1.0)))
+    assert set(operator_counts) == {5}
 
 
 def unused_imports(path: Path) -> set[str]:

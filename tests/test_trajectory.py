@@ -1,6 +1,6 @@
 """The event-driven trajectory engine: oracle agreement and determinism.
 
-`run_ensemble` locates jumps by the waiting-time rule and applies feedback
+`run_ensemble` locates jumps by the waiting-time rule and applies periodic
 measurements at their scheduled times, so its only error is statistical.
 The oracle tests bound that error point by point against the master
 equation, whose sparse generator is checked against a dense Lindblad
@@ -14,6 +14,7 @@ what the same engine, or the same oracle, gives in the full space.
 import itertools
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from lrusim import (
 )
 from lrusim.analytics import diss_rate_high, fb_leakage_rate_high
 from lrusim.channels import (
-    dissipation_jump_operators,
+    channel_jump_operators,
     jump_table,
     local_thermal_weights,
     noise_jump_operators,
@@ -124,6 +125,20 @@ class TestOracleAgreement:
         for name in ORACLE_SERIES:
             assert max_z(ens, oracle, name) < Z_BOUND, name
 
+    @pytest.mark.parametrize("kind", ["random_feedback", "dissipation"])
+    def test_plus_envelope_is_twice_the_coherence_modulus(self, kind):
+        # from plus every jump leaves site 1 without coherence, so at W = 0 the
+        # rows that have not jumped share one state: the mean envelope is
+        # 2 |mean coherence|, linear in rho like the oracle's
+        config = chain_config(kind, 2.0, 256, 40.0, 0.2, 1, NoiseModel(0.05, 0.01), seed=3,
+                              coding="plus")
+        ens = run_ensemble(config)
+        modulus = 2.0 * np.abs(ens.coherence_site1)
+        assert np.max(np.abs(ens.coherence_envelope_site1 - modulus)) < 1e-12
+        oracle = solve_master_dense(config)
+        envelope = SimpleNamespace(coherence_envelope_site1=2.0 * np.abs(oracle.coherence_site1))
+        assert max_z(ens, envelope, "coherence_envelope_site1") < Z_BOUND
+
 
 def short_config(kind, coding, **changes):
     # more trajectories than one chunk holds at L = 3, so run_ensemble
@@ -152,13 +167,15 @@ def jumpy_config(disorder, kind="dissipation", rate=4.0):
                         coding="plus", length=2, disorder=disorder)
 
 
-#: Jumpy chains, and the same chains with about ten feedback measurements
-#: per grid step among their jumps.
+#: Jumpy chains, the same chains with random feedback's K_1, K_2 and Q
+#: jumps among them, and with ten periodic measurements per grid step.
 JUMPY = [
     pytest.param(jumpy_config(0.0), id="W0"),
     pytest.param(jumpy_config(2.0), id="W2"),
     pytest.param(jumpy_config(0.0, "random_feedback", 10.0), id="random_feedback-W0"),
     pytest.param(jumpy_config(2.0, "random_feedback", 10.0), id="random_feedback-W2"),
+    pytest.param(jumpy_config(0.0, "periodic_feedback", 10.0), id="periodic_feedback-W0"),
+    pytest.param(jumpy_config(2.0, "periodic_feedback", 10.0), id="periodic_feedback-W2"),
 ]
 
 
@@ -232,7 +249,7 @@ class TestDeterminism:
         chunk = engine.run()
         # a second pass: some row met a second event before the grid point it was stepped to
         assert max(map(len, draws)) > 1
-        if config.channel.is_feedback:
+        if config.channel.kind == "periodic_feedback":
             # one call took rows through both kinds of event
             assert any({"jump", "measure"} <= set(kinds) for kinds in draws)
         for index in range(config.n_trajectories):
@@ -350,7 +367,7 @@ BLOCK_CONFIGS = {
     # 1/rate = 0.1 < observable_dt = 0.2: several measurements per interval
     "periodic": chain_config("periodic_feedback", 10.0, 64, 12.0, 0.05, 4,
                              NoiseModel(0.05, 0.05), seed=2),
-    # exponential gaps: measurements between grid points, none on one
+    # random feedback's K_1, K_2 and Q among the noise jumps
     "random": chain_config("random_feedback", 2.0, 64, 3.0, 0.05, 1,
                            NoiseModel(0.05, 0.05), seed=2),
     # no measurements: relaxation, dephasing and dissipation jumps
@@ -383,12 +400,12 @@ class TestBlockLength:
     @pytest.mark.parametrize("entries", [1, 5 * 8 * 3, 10**9])
     def test_measurement_at_a_grid_point_comes_before_its_record(self, monkeypatch, entries):
         # one site holding |2>, no noise: the leakage is 1 until the first
-        # measurement resets the site. Poisson times never fall on a grid
-        # point, so the schedule is swapped for one that measures exactly at
-        # a grid point drawn from each row's stream, and never again
+        # measurement resets the site. Periodic times fall on a grid point
+        # only by chance, so the schedule is swapped for one that measures
+        # exactly at a grid point drawn from each row's stream, and never again
         monkeypatch.setattr(lrusim.trajectory, "_BLOCK_ENTRIES", entries)
         config = SimulationConfig(lattice=LatticeSpec(1, 0.0, 10.0, 1.0),
-                                  channel=ResetChannel("random_feedback", 2.0),
+                                  channel=ResetChannel("periodic_feedback", 2.0),
                                   t_max=3.0, dt=0.05, n_trajectories=8, master_seed=3)
         grid = config.time_grid
 
@@ -675,7 +692,7 @@ class TestLindbladian:
 def no_jump_system(spec, noise, channel, basis):
     """H_eff = H - (i/2) diag(decay) of a chain, with its eigensystem."""
     jumps = noise_jump_operators(noise, basis)
-    jumps += dissipation_jump_operators(channel, basis)
+    jumps += channel_jump_operators(channel, basis)
     decay = jump_table(jumps, basis.dimension).decay
     h_eff = build_bose_hubbard(realize_disorder(spec, 0), basis) - 0.5j * np.diag(decay)
     return h_eff, decay, eigensystem(h_eff, hermitian=False)
